@@ -8,13 +8,11 @@ how much the global strategy wins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .entropy import delta_c, delta_d
 from .errors import DomainError
 from .global_bounds import qcb_global
-from .local_bounds import p_upper_local
+from .report import evaluate, rows
 
 
 @dataclass(frozen=True)
@@ -33,20 +31,8 @@ class ExponentReport:
 
 
 def exponents(mu: float) -> ExponentReport:
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    if mu == 1.0:
-        return ExponentReport(0.0, 0.0, 0.0, math.nan, math.nan)
-    kappa = -math.log(qcb_global(mu).q_value)
-    kappa_loc = -math.log(2.0 * p_upper_local(mu).p_upper)
-    ratio = kappa / kappa_loc
-    return ExponentReport(
-        kappa=kappa,
-        kappa_loc=kappa_loc,
-        delta=kappa - kappa_loc,
-        ratio=ratio,
-        ratio_db=10.0 * math.log10(ratio),
-    )
+    """Error exponents at one thermal variance: a batch of one of :func:`report.evaluate`."""
+    return rows(evaluate([mu]), ExponentReport)[0]
 
 
 def multicopy_p_upper(mu: float, copies: int) -> float:
@@ -75,23 +61,8 @@ def gain_curves(mu_grid) -> list[GainPoint]:
     grid = list(mu_grid)
     if not grid:
         raise DomainError("empty grid")
-    if any(mu <= 1.0 for mu in grid):
-        raise DomainError("gain curves require mu > 1 everywhere")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
-    rows = []
-    for mu in grid:
-        rep = exponents(mu)
-        rows.append(
-            GainPoint(
-                mu=mu,
-                delta_c=delta_c(mu),
-                delta_d=delta_d(mu),
-                kappa=rep.kappa,
-                kappa_loc=rep.kappa_loc,
-                delta=rep.delta,
-                ratio=rep.ratio,
-                ratio_db=rep.ratio_db,
-            )
-        )
-    return rows
+    if grid[0] == 1.0:
+        raise DomainError("gain curves require mu > 1: the exponent ratio is undefined at mu = 1")
+    return rows(evaluate(grid), GainPoint)

@@ -13,11 +13,16 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, ReportFailure
+from .errors import ConvergenceError, DomainError, NumericalError, ReportFailure, check_mu
 from .fock import FockConfig, s_overlap_converged
 from .global_bounds import s_overlap_global
 from .local_bounds import verify_heterodyne_optimality
-from .report import REPORT_FIELDS, discrimination_report, report_violations
+from .report import (
+    REPORT_FIELDS,
+    discrimination_report,
+    discrimination_reports,
+    report_violations,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,8 +58,8 @@ def cmd_point(args: argparse.Namespace) -> int:
 
 
 def sweep_grid(mu_min: float, mu_max: float, points: int, spacing: str) -> np.ndarray:
-    if mu_min < 1.0:
-        raise DomainError(f"mu-min must be at least 1, got {mu_min}")
+    check_mu(mu_min)
+    check_mu(mu_max)
     if points < 2:
         raise DomainError(f"a sweep needs at least 2 points, got {points}")
     if mu_max <= mu_min:
@@ -69,12 +74,11 @@ def sweep_grid(mu_min: float, mu_max: float, points: int, spacing: str) -> np.nd
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = sweep_grid(args.mu_min, args.mu_max, args.points, args.spacing)
     lines = [",".join(REPORT_FIELDS)]
-    for mu in grid:
-        report = discrimination_report(float(mu))
+    for report in discrimination_reports(grid):
         violations = report_violations(report)
         if violations:
             print(
-                f"internal invariant violation at mu={mu:g}: " + "; ".join(violations),
+                f"internal invariant violation at mu={report.mu:g}: " + "; ".join(violations),
                 file=sys.stderr,
             )
             return EXIT_INVARIANT

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_mu
 
 _BISECTION_HI = 1e12  # delta_d is numerically indistinguishable from 1 here
 
@@ -42,8 +42,7 @@ def delta_c(mu: float) -> float:
     Equals ``h(mu) - h((3 mu - 1)/(mu + 1))``; zero at ``mu = 1`` and
     unbounded as ``mu`` grows.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     return entropy_h(mu) - entropy_h((3.0 * mu - 1.0) / (mu + 1.0))
 
 
@@ -53,8 +52,7 @@ def delta_d(mu: float) -> float:
     Equals ``h(mu) - h(2 mu - 1) + h((3 mu - 1)/(mu + 1))``; increases from 0
     at ``mu = 1`` towards 1 as ``mu`` grows.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     return (
         entropy_h(mu)
         - entropy_h(2.0 * mu - 1.0)
@@ -99,7 +97,20 @@ def info_bounds(p_upper: float, p_lower: float) -> tuple[float, float]:
         raise DomainError(
             f"need 0 <= p_lower <= p_upper <= 1/2, got ({p_upper}, {p_lower})"
         )
-    return 1.0 - binary_entropy(p_upper), 1.0 - binary_entropy(p_lower)
+    return _information(p_upper), _information(p_lower)
+
+
+def _information(p: float) -> float:
+    """``1 - H(p)`` for ``0 <= p <= 1/2``, without cancelling near ``p = 1/2``.
+
+    With ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
+    ``(2 d atanh(d) + log1p(-d^2)) / (2 ln 2)``, whose terms are of the size
+    of the result; below ``p = 1/4`` the entropy is far enough from 1.
+    """
+    if p < 0.25:
+        return 1.0 - binary_entropy(p)
+    d = 1.0 - 2.0 * p
+    return (2.0 * d * math.atanh(d) + math.log1p(-d * d)) / (2.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared domain checks."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -15,3 +17,21 @@ class ConvergenceError(RuntimeError):
 
 class ReportFailure(RuntimeError):
     """A verification scan did not confirm the property it was asked to check."""
+
+
+def check_mu(mu: float) -> float:
+    """Return the thermal variance ``mu`` if it is finite and at least 1.
+
+    Raises :class:`DomainError` otherwise; NaN and infinity are rejected
+    here, not left to fail somewhere inside the numerics.
+    """
+    if not (math.isfinite(mu) and mu >= 1.0):
+        raise DomainError(f"thermal variance must be finite and satisfy mu >= 1, got {mu}")
+    return mu
+
+
+def check_order(s: float) -> float:
+    """Return the order parameter ``s`` of an overlap if ``0 < s < 1``, else raise DomainError."""
+    if not 0.0 < s < 1.0:
+        raise DomainError(f"order parameter must satisfy 0 < s < 1, got {s}")
+    return s

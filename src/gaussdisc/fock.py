@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError, check_mu, check_order
 
 #: eigenvalues below this are treated as exact zeros of the finite-rank
 #: construction (fractional powers would otherwise amplify solver noise)
@@ -98,8 +97,7 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     covariance matrix is the symmetric normal form with correlations
     ``mu - 1`` on both quadratures.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     cutoff, nodes = config.cutoff, config.modulation_nodes
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
@@ -133,6 +131,8 @@ def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.
         vec = coherent_state(alpha, cutoff)
         rho = np.outer(vec, vec.conj())
     else:
+        from scipy.linalg import expm  # scipy only loads on this oracle path
+
         base = build_thermal(n_bar, FockConfig(cutoff, convergence_tol=tol))
         op = expm(alpha * destroy(cutoff).T - np.conj(alpha) * destroy(cutoff))
         rho = op @ base @ op.conj().T
@@ -166,8 +166,7 @@ def _fractional_power(rho: np.ndarray, power: float) -> np.ndarray:
 
 def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
     """Tr(rho0^s rho1^(1-s)) by direct eigendecomposition of both operators."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order parameter must satisfy 0 < s < 1, got {s}")
+    check_order(s)
     a = _fractional_power(rho0, s)
     b = _fractional_power(rho1, 1.0 - s)
     return float(np.sum(a * b.T).real)
@@ -197,8 +196,7 @@ def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, floa
     weights = eigvecs**2  # real symmetric by construction
     out = {}
     for s in s_values:
-        if not 0.0 < s < 1.0:
-            raise DomainError(f"order parameter must satisfy 0 < s < 1, got {s}")
+        check_order(s)
         with np.errstate(divide="ignore"):
             powered = np.where(eigvals > 0.0, eigvals ** (1.0 - s), 0.0)
         diag_of_power = weights @ powered

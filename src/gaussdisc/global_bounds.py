@@ -12,16 +12,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import DomainError, NumericalError
-from .states import WilliamsonDecomposition, make_state_one, williamson_symmetric
+from .errors import DomainError, check_mu, check_order
+from .states import WilliamsonDecomposition
 
 # The overlap weights degenerate at s in {0, 1} whenever a symplectic
 # eigenvalue equals 1 (exactly the case here), so the minimization runs on a
-# slightly clipped interval; the objective is log-convex and its boundary
-# values are approached continuously.
+# slightly clipped interval.  log Q_s is convex in s, so Q_s has a single
+# minimum there.  For the global pair that minimum sits at the clip
+# s = 1 - 1e-6 for every mu > 1: Q_s still decreases there.
 S_INTERVAL = (1e-6, 1.0 - 1e-6)
+#: the bracketed search over s evaluates this many evenly spaced points per
+#: step, both ends of the bracket included, and keeps the two intervals next
+#: to the best one: each step leaves at most 2/15 of the bracket, so 12
+#: steps take it from the whole interval to below 1e-10
+SEARCH_POINTS = 16
+SEARCH_STEPS = 12
+_SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
 
 
 def g_weight(s: float, x: float) -> float:
@@ -30,9 +37,9 @@ def g_weight(s: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     # (x+1)^s - (x-1)^s = (x+1)^s * (1 - r) with r = ((x-1)/(x+1))^s, written
-    # through expm1/log1p so large x and s near 1 keep full precision.
-    r = math.exp(s * math.log1p(-2.0 / (x + 1.0)))
-    return math.exp(s * math.log(2.0 / (x + 1.0))) / (1.0 - r)
+    # through expm1/log1p so large x and s near 0 keep full precision.
+    gap = -math.expm1(s * math.log1p(-2.0 / (x + 1.0)))
+    return math.exp(s * math.log(2.0 / (x + 1.0))) / gap
 
 
 def lambda_weight(s: float, x: float) -> float:
@@ -40,15 +47,26 @@ def lambda_weight(s: float, x: float) -> float:
     _check_weight_args(s, x)
     if x == 1.0:
         return 1.0
-    r = math.exp(s * math.log1p(-2.0 / (x + 1.0)))
-    return (1.0 + r) / (1.0 - r)
+    gap = -math.expm1(s * math.log1p(-2.0 / (x + 1.0)))
+    return (2.0 - gap) / gap
 
 
 def _check_weight_args(s: float, x: float) -> None:
     if x < 1.0:
         raise DomainError(f"weight argument must satisfy x >= 1, got {x}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order parameter must satisfy 0 < s < 1, got {s}")
+    check_order(s)
+
+
+def overlap_weights(s, x) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`g_weight` and :func:`lambda_weight` elementwise over arrays.
+
+    Same operations as the scalar weights; ``x = 1`` needs no branch, since
+    ``log1p(-1) = -inf`` makes the gap exactly 1.  Arguments are not checked.
+    """
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log1p(-2.0 / (x + 1.0))
+    gap = -np.expm1(s * log_ratio)
+    return np.exp(s * np.log(2.0 / (x + 1.0))) / gap, (2.0 - gap) / gap
 
 
 def s_overlap_two_mode(
@@ -76,27 +94,61 @@ def s_overlap_two_mode(
     return pi_s / math.sqrt(np.linalg.det(sigma))
 
 
-def s_overlap_global(mu: float, s: float, *, matrix_form: bool = False) -> float:
+def overlap_global(mu, s):
+    """Elementwise :func:`s_overlap_global` over arrays; ``mu`` is not checked."""
+    g_mu, lam_mu = overlap_weights(s, mu)
+    g_plus, lam_plus = overlap_weights(1.0 - s, 2.0 * mu - 1.0)
+    # the correlated state's other symplectic eigenvalue is 1, where both
+    # weights equal 1
+    return 4.0 * g_mu**2 * g_plus / ((lam_mu + 1.0) * (lam_mu + lam_plus))
+
+
+def s_overlap_global(mu: float, s: float) -> float:
     """Overlap Tr(rho_0^s rho_1^(1-s)) of the two encoded states at variance ``mu``.
 
     The uncorrelated state is already in normal form with degenerate spectrum
     ``{mu, mu}``; the correlated one has spectrum ``{1, 2 mu - 1}`` and an
-    orthogonal-symplectic diagonalizer, so the 4x4 determinant collapses to a
-    product of two squared factors.  Pass ``matrix_form=True`` to evaluate
-    the unreduced 4x4 expression instead (debugging self-check).
+    orthogonal-symplectic diagonalizer, so the 4x4 determinant of
+    :func:`s_overlap_two_mode` collapses to a product of two factors.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    if matrix_form:
-        dec0 = WilliamsonDecomposition(mu, mu, np.eye(4))
-        dec1 = williamson_symmetric(make_state_one(mu))
-        return s_overlap_two_mode(dec0, dec1, s)
-    nu_plus = 2.0 * mu - 1.0
-    pi_s = 4.0 * g_weight(s, mu) ** 2 * g_weight(1.0 - s, 1.0) * g_weight(1.0 - s, nu_plus)
-    lam_mu = lambda_weight(s, mu)
-    factor_minus = lam_mu + lambda_weight(1.0 - s, 1.0)
-    factor_plus = lam_mu + lambda_weight(1.0 - s, nu_plus)
-    return pi_s / (factor_minus * factor_plus)
+    return float(overlap_global(np.float64(check_mu(mu)), check_order(s)))
+
+
+def minimum_over_s(overlap, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``overlap(mu, s)`` over ``S_INTERVAL`` for every ``mu`` at once.
+
+    ``overlap`` is elementwise and log-convex in ``s``, so the minimum over
+    the points of one step lies within one grid interval of the minimizer,
+    and the next step searches the two intervals around it.  The first step
+    evaluates both clip points exactly, because the minimum can sit at
+    either.  Each row takes the same steps, so an element's result does not
+    depend on the rest of the array.  Returns ``(s_star, minimum)``.
+    """
+    index = np.arange(mu.shape[0])
+    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
+    s_star, q_min = lo, np.full_like(mu, np.inf)
+    for _ in range(SEARCH_STEPS):
+        s = lo[:, None] + (hi - lo)[:, None] * _SEARCH_GRID
+        s[:, -1] = hi
+        q = overlap(mu[:, None], s)
+        best = np.argmin(q, axis=1)
+        q_best = q[index, best]
+        better = q_best < q_min
+        s_star = np.where(better, s[index, best], s_star)
+        q_min = np.where(better, q_best, q_min)
+        lo = s[index, np.maximum(best - 1, 0)]
+        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
+    return s_star, q_min
+
+
+def fidelity_error(f):
+    """``(1 - sqrt(1 - F)) / 2``, the error bound from a fidelity ``F``, elementwise.
+
+    Written as ``F / (2 (1 + sqrt(1 - F)))``, which does not cancel when
+    ``F`` is small.  The global lower bound takes ``F = B^2`` with ``B`` the
+    s = 1/2 overlap.
+    """
+    return f / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - f))))
 
 
 @dataclass(frozen=True)
@@ -106,6 +158,11 @@ class SOverlapResult:
     s_star: float
     q_value: float
     p_upper: float
+
+    @classmethod
+    def first(cls, s_star: np.ndarray, q: np.ndarray) -> "SOverlapResult":
+        """The result for the first element of a batched minimization."""
+        return cls(float(s_star[0]), float(q[0]), float(q[0]) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -117,29 +174,9 @@ class GlobalBounds:
     bhattacharyya: float
 
 
-def minimize_overlap(objective) -> tuple[float, float]:
-    """Minimize a log-convex overlap over the clipped s-interval.
-
-    Returns ``(s_star, minimum)``; Brent-style bounded scalar minimization
-    with s-tolerance 1e-10.
-    """
-    result = minimize_scalar(
-        objective,
-        bounds=S_INTERVAL,
-        method="bounded",
-        options={"xatol": 1e-10, "maxiter": 200},
-    )
-    if not result.success:
-        raise NumericalError(f"s-minimization did not converge: {result.message}")
-    return float(result.x), float(result.fun)
-
-
 def qcb_global(mu: float) -> SOverlapResult:
     """Chernoff-type upper bound ``P+ = min_s Q_s / 2`` for the global detector."""
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    s_star, q_value = minimize_overlap(lambda s: s_overlap_global(mu, s))
-    return SOverlapResult(s_star, q_value, q_value / 2.0)
+    return SOverlapResult.first(*minimum_over_s(overlap_global, np.array([check_mu(mu)])))
 
 
 def bhattacharyya_global(mu: float) -> GlobalBounds:
@@ -149,6 +186,6 @@ def bhattacharyya_global(mu: float) -> GlobalBounds:
     ``P- = (1 - sqrt(1 - B^2)) / 2``; the upper bound is :func:`qcb_global`.
     """
     b = s_overlap_global(mu, 0.5)
-    p_lower = (1.0 - math.sqrt(max(0.0, 1.0 - b * b))) / 2.0
-    p_upper = qcb_global(mu).p_upper
-    return GlobalBounds(p_upper=p_upper, p_lower=p_lower, bhattacharyya=b)
+    return GlobalBounds(
+        p_upper=qcb_global(mu).p_upper, p_lower=float(fidelity_error(b * b)), bhattacharyya=b
+    )

@@ -13,10 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DomainError, NumericalError, ReportFailure
-from .global_bounds import SOverlapResult, g_weight, lambda_weight, minimize_overlap
+from .errors import DomainError, NumericalError, ReportFailure, check_mu, check_order
+from .global_bounds import (
+    SOverlapResult,
+    fidelity_error,
+    g_weight,
+    lambda_weight,
+    minimum_over_s,
+    overlap_weights,
+)
 
 LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)  # includes 1.0 exactly at index 40
 _UNIT_INDEX = 40
@@ -84,8 +90,7 @@ def condition_on_povm(mu: float, g: float, povm: GaussianPovm) -> ConditionalPre
     The modulation covariance is ``g^2 (mu I + V_seed)^(-1)`` and the
     conditional covariance is its complement to ``mu I``.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     if abs(g) > mu - 1.0:
         raise DomainError(f"correlation must satisfy |g| <= mu - 1, got g={g}")
     v_seed = povm.covariance()
@@ -102,9 +107,16 @@ def heterodyne_epsilon(mu: float) -> float:
     the modulation covariance is ``(mu - 1 - eps) I``; the outcome-to-
     displacement gain is ``eps / sqrt(2)``.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    return _epsilon(check_mu(mu))
+
+
+def _epsilon(mu):
     return 2.0 * (mu - 1.0) / (mu + 1.0)
+
+
+def _fidelity_denominator(mu, eps):
+    """Denominator of the conditional-pair fidelity; ``2 / it`` is the fidelity at a = 0."""
+    return 1.0 + mu * (1.0 + eps) - 2.0 * (mu - 1.0) * np.sqrt(2.0 * mu / (mu + 1.0))
 
 
 def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = None) -> float:
@@ -126,23 +138,22 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     return pi_s / math.sqrt(np.linalg.det(sigma + prep.v_mod))
 
 
+def overlap_heterodyne(mu, s):
+    """Elementwise :func:`s_overlap_heterodyne` over arrays; ``mu`` is not checked."""
+    eps = _epsilon(mu)
+    g_mu, lam_mu = overlap_weights(s, mu)
+    g_nu, lam_nu = overlap_weights(1.0 - s, 1.0 + eps)
+    return 2.0 * g_mu * g_nu / (lam_mu + lam_nu + (mu - 1.0) * eps / 2.0)
+
+
 def s_overlap_heterodyne(mu: float, s: float) -> float:
     """Closed form of :func:`s_overlap_local` at the heterodyne optimum."""
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    eps = heterodyne_epsilon(mu)
-    nu = 1.0 + eps
-    num = 2.0 * g_weight(s, mu) * g_weight(1.0 - s, nu)
-    den = lambda_weight(s, mu) + lambda_weight(1.0 - s, nu) + (mu - 1.0) * eps / 2.0
-    return num / den
+    return float(overlap_heterodyne(np.float64(check_mu(mu)), check_order(s)))
 
 
 def p_upper_local(mu: float) -> SOverlapResult:
     """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``."""
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    s_star, q_value = minimize_overlap(lambda s: s_overlap_heterodyne(mu, s))
-    return SOverlapResult(s_star, q_value, q_value / 2.0)
+    return SOverlapResult.first(*minimum_over_s(overlap_heterodyne, np.array([check_mu(mu)])))
 
 
 def fidelity_heterodyne(mu: float, a) -> float:
@@ -152,16 +163,10 @@ def fidelity_heterodyne(mu: float, a) -> float:
     prepared state (the measurement outcome scaled by the heterodyne gain
     ``eps / sqrt(2)`` gives the physical mean).
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
     a = np.asarray(a, float)
     a2 = float(a @ a)
     eps = heterodyne_epsilon(mu)
-    den = (
-        1.0
-        + mu * (1.0 + eps)
-        - 2.0 * (mu - 1.0) * math.sqrt(2.0 * mu / (mu + 1.0))
-    )
+    den = float(_fidelity_denominator(mu, eps))
     return 2.0 * math.exp(-eps * eps * a2 / (4.0 * (mu + 1.0 + eps))) / den
 
 
@@ -180,6 +185,58 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
     return 2.0 * math.exp(expo) / (math.sqrt(big_delta + lam) - math.sqrt(lam))
 
 
+#: panels of the radial rule on u in [0, 72]; they widen as the e^-u weight
+#: decays
+RADIAL_PANELS = (0.0, 1.0, 4.0, 12.0, 30.0, 72.0)
+
+
+def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (times ``e^-u``) of the composite Gauss-Legendre rule
+    on ``RADIAL_PANELS`` with ``nodes`` nodes per panel, one row per panel."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.array(RADIAL_PANELS)
+    half = (edges[1:] - edges[:-1])[:, None] / 2.0
+    u = edges[:-1, None] + half * (t + 1.0)
+    return u, half * w * np.exp(-u)
+
+
+#: the 16-node rule gives the value, its gap to the 12-node rule the error
+#: estimate
+_RADIAL_RULE, _RADIAL_CHECK_RULE = _panel_rule(16), _panel_rule(12)
+#: relative tolerance of the radial integral, and the discarded tail beyond u = 72
+_RADIAL_RTOL = 1e-8
+_RADIAL_TAIL = 0.5 * math.exp(-72.0)
+
+
+def lower_bound_local(mu: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`p_lower_local` over an array; ``mu`` is not checked.
+
+    Raises :class:`NumericalError` if the error estimate of any element
+    exceeds the relative tolerance.
+    """
+    eps = _epsilon(mu)
+    sigma2 = mu - 1.0 - eps
+    den = _fidelity_denominator(mu, eps)[:, None, None]
+    decay = (eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps)))[:, None, None]
+    panels = []
+    for u, w in (_RADIAL_RULE, _RADIAL_CHECK_RULE):
+        f = 2.0 * np.exp(-decay * u) / den
+        panels.append((fidelity_error(f) * w).sum(axis=-1))
+    value = panels[0].sum(axis=-1)
+    abserr = np.abs(panels[0] - panels[1]).sum(axis=-1)
+    spread = sigma2 > 0.0
+    failed = spread & (abserr + _RADIAL_TAIL > _RADIAL_RTOL * value + 1e-15)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise NumericalError(
+            f"radial quadrature failed its relative tolerance at mu={mu[i]!r} "
+            f"(err {abserr[i]:g})"
+        )
+    # mu = 1: the modulation is a point mass at a = 0, where F = 2 / den
+    point = fidelity_error(2.0 / den[:, 0, 0])
+    return np.where(spread, value, point)
+
+
 def p_lower_local(mu: float) -> float:
     """Fidelity-based lower bound on the local error probability.
 
@@ -188,36 +245,10 @@ def p_lower_local(mu: float) -> float:
     integral reduces to a radial one; substituting ``u = r^2 / (2 sigma^2)``
     maps the radial range ``[0, 12 sigma]`` to ``u in [0, 72]`` with an
     exactly exponential weight, and the discarded tail is below
-    ``exp(-72) / 2``.
+    ``exp(-72) / 2``.  The integral is a composite Gauss-Legendre rule on
+    ``RADIAL_PANELS``.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    eps = heterodyne_epsilon(mu)
-    sigma2 = mu - 1.0 - eps
-    if sigma2 <= 0.0:
-        # mu = 1: the modulation is a point mass at a = 0 where F = 1.
-        return (1.0 - math.sqrt(max(0.0, 1.0 - fidelity_heterodyne(mu, (0.0, 0.0))))) / 2.0
-    den = (
-        1.0
-        + mu * (1.0 + eps)
-        - 2.0 * (mu - 1.0) * math.sqrt(2.0 * mu / (mu + 1.0))
-    )
-    decay = eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps))
-
-    def integrand(u: float) -> float:
-        f = 2.0 * math.exp(-decay * u) / den
-        return math.exp(-u) * (1.0 - math.sqrt(max(0.0, 1.0 - f))) / 2.0
-
-    result = quad(
-        integrand, 0.0, 72.0, epsabs=0.0, epsrel=1e-8, limit=200, full_output=True
-    )
-    value, abserr = result[0], result[1]
-    tail_bound = 0.5 * math.exp(-72.0)
-    if abserr + tail_bound > 1e-8 * value + 1e-15:
-        raise NumericalError(
-            f"radial quadrature failed its relative tolerance (err {abserr:g})"
-        )
-    return value
+    return float(lower_bound_local(np.array([check_mu(mu)]))[0])
 
 
 @dataclass(frozen=True)
@@ -328,8 +359,7 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     fidelity against the true displacement statistics), which is the version
     of the bound the optimality claim holds for.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     gval = mu - 1.0 if g is None else g
     values = np.array(
         [averaged_fidelity_bound(mu, lam, g=gval) for lam in LAMBDA_SCAN_GRID]

@@ -1,14 +1,20 @@
-"""Per-point aggregation of every bound, information bracket and exponent."""
+"""Aggregation of every bound, information bracket and exponent over a grid.
+
+:func:`evaluate` computes the bound and exponent columns for a whole grid of
+thermal variances at once; the reports, the exponents and the gain tables
+are views of it.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .entropy import correlation_budget, info_bounds
-from .errors import DomainError
-from .global_bounds import bhattacharyya_global
-from .local_bounds import p_lower_local, p_upper_local
+from .errors import check_mu
+from .global_bounds import fidelity_error, minimum_over_s, overlap_global
+from .local_bounds import lower_bound_local, overlap_heterodyne
 
 #: CSV column contract: exactly these names, in this order.
 REPORT_FIELDS = (
@@ -62,39 +68,69 @@ class DiscriminationReport:
 assert tuple(f.name for f in fields(DiscriminationReport)) == REPORT_FIELDS
 
 
+def evaluate(mu_grid) -> dict[str, np.ndarray]:
+    """Every bound and exponent column over a grid of thermal variances.
+
+    Returns the ``REPORT_FIELDS`` columns other than the information
+    brackets (see :func:`discrimination_reports`), plus the exponent
+    ``ratio``.  Both minimizations over s and the radial quadrature run on
+    the whole grid at once, and every element is computed independently of
+    the others, so a point's values do not depend on the grid around it.
+    ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``, where both exponents
+    vanish.
+    """
+    mu = np.array([check_mu(float(value)) for value in mu_grid], dtype=float)
+    budgets = [correlation_budget(value) for value in mu.tolist()]
+    q_global = minimum_over_s(overlap_global, mu)[1]
+    q_local = minimum_over_s(overlap_heterodyne, mu)[1]
+    spread = mu > 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(spread, -np.log(q_global), 0.0)
+        kappa_loc = np.where(spread, -np.log(q_local), 0.0)
+        ratio = np.where(spread, kappa / kappa_loc, np.nan)
+        ratio_db = 10.0 * np.log10(ratio)
+    return {
+        "mu": mu,
+        "delta_c": np.array([b.delta_c for b in budgets]),
+        "delta_d": np.array([b.delta_d for b in budgets]),
+        "p_plus_global": q_global / 2.0,
+        "p_minus_global": fidelity_error(overlap_global(mu, 0.5) ** 2),
+        "p_plus_local": q_local / 2.0,
+        "p_minus_local": lower_bound_local(mu),
+        "kappa": kappa,
+        "kappa_loc": kappa_loc,
+        "delta": kappa - kappa_loc,
+        "ratio": ratio,
+        "ratio_db": ratio_db,
+    }
+
+
+def rows(columns: dict[str, np.ndarray], cls) -> list:
+    """One ``cls`` per grid point, its fields taken from the same-named columns."""
+    names = [field.name for field in fields(cls)]
+    return [cls(*row) for row in zip(*(columns[name].tolist() for name in names))]
+
+
+def discrimination_reports(mu_grid) -> list[DiscriminationReport]:
+    """One report per grid point: :func:`evaluate` plus the information brackets.
+
+    The brackets come from :func:`info_bounds`, which rejects an error
+    bracket that is not ordered.
+    """
+    columns = evaluate(mu_grid)
+    for detector in ("global", "local"):
+        brackets = zip(
+            columns[f"p_plus_{detector}"].tolist(), columns[f"p_minus_{detector}"].tolist()
+        )
+        info = [info_bounds(p_up, p_lo) for p_up, p_lo in brackets]
+        lower, upper = np.array(info, dtype=float).reshape(-1, 2).T
+        columns[f"i_minus_{detector}"], columns[f"i_plus_{detector}"] = lower, upper
+    return rows(columns, DiscriminationReport)
+
+
 def discrimination_report(mu: float) -> DiscriminationReport:
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
-    budget = correlation_budget(mu)
-    glob = bhattacharyya_global(mu)
-    loc_up = p_upper_local(mu).p_upper
-    loc_lo = p_lower_local(mu)
-    ig_lower, ig_upper = info_bounds(glob.p_upper, glob.p_lower)
-    il_lower, il_upper = info_bounds(loc_up, loc_lo)
-    if mu == 1.0:
-        kappa = kappa_loc = 0.0
-        ratio_db = math.nan
-    else:
-        kappa = -math.log(2.0 * glob.p_upper)
-        kappa_loc = -math.log(2.0 * loc_up)
-        ratio_db = 10.0 * math.log10(kappa / kappa_loc)
-    return DiscriminationReport(
-        mu=mu,
-        delta_c=budget.delta_c,
-        delta_d=budget.delta_d,
-        p_plus_global=glob.p_upper,
-        p_minus_global=glob.p_lower,
-        p_plus_local=loc_up,
-        p_minus_local=loc_lo,
-        i_plus_global=ig_upper,
-        i_minus_global=ig_lower,
-        i_plus_local=il_upper,
-        i_minus_local=il_lower,
-        kappa=kappa,
-        kappa_loc=kappa_loc,
-        delta=kappa - kappa_loc,
-        ratio_db=ratio_db,
-    )
+    """Every column at one thermal variance: a batch of one of :func:`discrimination_reports`."""
+    return discrimination_reports([mu])[0]
 
 
 def report_violations(report: DiscriminationReport, slack: float = 1e-12) -> list[str]:

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_mu
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block(
@@ -40,20 +39,6 @@ _SYMMETRIC_DIAGONALIZER = _BALANCED_MIX @ np.block(
 _MODE_SWAP = np.block(
     [[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
 )
-
-
-def balanced_squeezer(mu: float) -> np.ndarray:
-    """Single-mode squeezer ``diag(1/sqrt(b), sqrt(b))`` with ``b = sqrt(2 mu - 1)``.
-
-    Kept only for reference.  Composing two of these with the balanced
-    rotation does *not* give a symplectic congruence for ``mu > 1`` (a special
-    orthogonal 4x4 matrix need not preserve the symplectic form), so the
-    route through this matrix would assign the maximally correlated state a
-    degenerate spectrum ``{b, b}``.  The actual symplectic spectrum is
-    ``{1, 2 mu - 1}``; see :func:`williamson_symmetric`.
-    """
-    b = math.sqrt(2.0 * mu - 1.0)
-    return np.diag([1.0 / math.sqrt(b), math.sqrt(b)])
 
 
 @dataclass(frozen=True)
@@ -89,8 +74,7 @@ class SymmetricTwoModeCM:
 
 def make_state_zero(mu: float) -> SymmetricTwoModeCM:
     """Uncorrelated pair of thermal modes with variance ``mu``."""
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     return SymmetricTwoModeCM(mu, 0.0, 0.0)
 
 
@@ -99,15 +83,13 @@ def make_state_one(mu: float) -> SymmetricTwoModeCM:
 
     Both quadrature correlations sit at the separability edge ``mu - 1``.
     """
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     return SymmetricTwoModeCM(mu, mu - 1.0, mu - 1.0)
 
 
 def make_symmetric_state(mu: float, g: float) -> SymmetricTwoModeCM:
     """Separable member of the ``g = gp`` family; requires ``|g| <= mu - 1``."""
-    if mu < 1.0:
-        raise DomainError(f"thermal variance must satisfy mu >= 1, got {mu}")
+    check_mu(mu)
     if abs(g) > mu - 1.0:
         raise DomainError(
             f"|g| <= mu - 1 required for the separable family, got g={g}, mu={mu}"
@@ -199,6 +181,8 @@ def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecompo
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     antisym = inv_root @ OMEGA @ inv_root
+    from scipy.linalg import schur  # scipy only loads on this cross-check path
+
     try:
         t, q = schur(antisym, output="real")
     except Exception as exc:  # scipy raises LinAlgError on non-convergence

@@ -15,6 +15,7 @@ from gaussdisc import (
     s_overlap_two_mode,
     williamson_symmetric,
 )
+from gaussdisc.global_bounds import overlap_weights
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -47,6 +48,25 @@ def test_weights_reject_bad_arguments():
         lambda_weight(1.0, 2.0)
 
 
+def test_array_weights_match_scalar_weights():
+    # same operations, numpy's elementwise functions against the math module's
+    orders = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6])
+    args = np.concatenate(([1.0], 1.0 + np.logspace(-12.0, 0.0, 13), np.logspace(0.5, 12.0, 24)))
+    g, lam = overlap_weights(orders[:, None], args[None, :])
+    for i, s in enumerate(orders.tolist()):
+        for j, x in enumerate(args.tolist()):
+            assert abs(g[i, j] - g_weight(s, x)) <= 4.0 * math.ulp(g_weight(s, x))
+            assert abs(lam[i, j] - lambda_weight(s, x)) <= 4.0 * math.ulp(lambda_weight(s, x))
+
+
+def test_weights_and_bound_finite_at_large_mu():
+    # 1 - ((x-1)/(x+1))^s rounds to 0 here unless it is formed with expm1
+    assert math.isfinite(g_weight(1e-6, 1e12)) and g_weight(1e-6, 1e12) > 0.0
+    assert math.isfinite(lambda_weight(1e-6, 1e12))
+    result = qcb_global(1e12)
+    assert math.isfinite(result.q_value) and 0.0 < result.p_upper < 0.5
+
+
 def test_lambda_weight_at_least_one():
     for s in (0.1, 0.5, 0.9):
         for x in (1.0, 1.5, 10.0, 1e4):
@@ -64,9 +84,11 @@ def test_overlap_half_frozen_radical():
 
 def test_overlap_closed_form_matches_matrix_form():
     for mu in (1.0, 1.3, 2.0, 7.0):
+        dec0 = WilliamsonDecomposition(mu, mu, np.eye(4))
+        dec1 = williamson_symmetric(make_state_one(mu))
         for s in (0.2, 0.5, 0.8):
             closed = s_overlap_global(mu, s)
-            full = s_overlap_global(mu, s, matrix_form=True)
+            full = s_overlap_two_mode(dec0, dec1, s)
             assert closed == pytest.approx(full, rel=1e-12)
 
 

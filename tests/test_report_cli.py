@@ -5,9 +5,21 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gaussdisc import REPORT_FIELDS, discrimination_report, report_violations
+from gaussdisc import (
+    REPORT_FIELDS,
+    bhattacharyya_global,
+    discrimination_report,
+    discrimination_reports,
+    exponents,
+    gain_curves,
+    p_lower_local,
+    p_upper_local,
+    qcb_global,
+    report_violations,
+)
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -49,6 +61,32 @@ def test_report_rejects_mu_below_one():
         discrimination_report(0.5)
 
 
+def test_single_point_views_are_rows_of_the_batched_evaluation():
+    grid = np.logspace(math.log10(1.001), 3.0, 37).tolist()
+    reports = discrimination_reports(grid)
+    gains = gain_curves(grid)
+    for i in (0, 1, 17, 36):
+        mu, row, gain = grid[i], reports[i], gains[i]
+        single = discrimination_report(mu)
+        assert [v.hex() for v in single.as_row()] == [v.hex() for v in row.as_row()]
+        exp = exponents(mu)
+        names = ("kappa", "kappa_loc", "delta", "ratio", "ratio_db")
+        assert [getattr(exp, n).hex() for n in names] == [getattr(gain, n).hex() for n in names]
+        assert qcb_global(mu).p_upper.hex() == row.p_plus_global.hex()
+        assert bhattacharyya_global(mu).p_lower.hex() == row.p_minus_global.hex()
+        assert p_upper_local(mu).p_upper.hex() == row.p_plus_local.hex()
+        assert p_lower_local(mu).hex() == row.p_minus_local.hex()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, gaussdisc; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_point_emits_ordered_json():
     proc = run_cli("point", "--mu", "2.0")
     assert proc.returncode == 0
@@ -71,6 +109,20 @@ def test_cli_point_rejects_bad_mu():
     proc = run_cli("point", "--mu", "0.9")
     assert proc.returncode == 2
     assert "mu" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("point", "--mu", "nan"),
+        ("point", "--mu", "inf"),
+        ("sweep", "--mu-max", "inf", "--out", os.devnull),
+    ],
+)
+def test_cli_rejects_non_finite_mu(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "mu" in proc.stderr
 
 
 def test_cli_sweep_shape(tmp_path):
