@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,7 +152,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gaussdisc",
         description=(
@@ -200,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

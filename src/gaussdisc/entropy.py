@@ -17,14 +17,16 @@ def entropy_h(x: float) -> float:
     """Entropy of a thermal mode with quadrature variance ``x``.
 
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0.
+    With ``b = (x-1)/2`` it is evaluated as ``(log1p(b) + b log1p(1/b)) / ln 2``,
+    a sum of two positive terms, since the two products above cancel for
+    large ``x``.
     """
     if x < 1.0:
         raise DomainError(f"thermal variance must satisfy x >= 1, got {x}")
     if x == 1.0:
         return 0.0
-    a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
+    return (math.log1p(b) + b * math.log1p(1.0 / b)) / math.log(2.0)
 
 
 def binary_entropy(p: float) -> float:

@@ -30,6 +30,13 @@ def check_mu(mu: float) -> float:
     return mu
 
 
+def check_correlation(mu: float, g: float) -> float:
+    """Return ``g`` if it is finite and within the separability edge ``|g| <= mu - 1``."""
+    if not (math.isfinite(g) and abs(g) <= mu - 1.0):
+        raise DomainError(f"correlation must be finite with |g| <= mu - 1, got g={g}, mu={mu}")
+    return g
+
+
 def check_order(s: float) -> float:
     """Return the order parameter ``s`` of an overlap if ``0 < s < 1``, else raise DomainError."""
     if not 0.0 < s < 1.0:

@@ -34,25 +34,17 @@ _SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
 def g_weight(s: float, x: float) -> float:
     """Overlap prefactor weight ``2^s / ((x+1)^s - (x-1)^s)``; equals 1 at x = 1."""
     _check_weight_args(s, x)
-    if x == 1.0:
-        return 1.0
-    # (x+1)^s - (x-1)^s = (x+1)^s * (1 - r) with r = ((x-1)/(x+1))^s, written
-    # through expm1/log1p so large x and s near 0 keep full precision.
-    gap = -math.expm1(s * math.log1p(-2.0 / (x + 1.0)))
-    return math.exp(s * math.log(2.0 / (x + 1.0))) / gap
+    return float(overlap_weights(s, x)[0])
 
 
 def lambda_weight(s: float, x: float) -> float:
     """Overlap width weight ``((x+1)^s + (x-1)^s) / ((x+1)^s - (x-1)^s)`` >= 1."""
     _check_weight_args(s, x)
-    if x == 1.0:
-        return 1.0
-    gap = -math.expm1(s * math.log1p(-2.0 / (x + 1.0)))
-    return (2.0 - gap) / gap
+    return float(overlap_weights(s, x)[1])
 
 
-def _check_weight_args(s: float, x: float) -> None:
-    if x < 1.0:
+def _check_weight_args(s: float, x) -> None:
+    if not np.greater_equal(x, 1.0).all():
         raise DomainError(f"weight argument must satisfy x >= 1, got {x}")
     check_order(s)
 
@@ -60,7 +52,9 @@ def _check_weight_args(s: float, x: float) -> None:
 def overlap_weights(s, x) -> tuple[np.ndarray, np.ndarray]:
     """:func:`g_weight` and :func:`lambda_weight` elementwise over arrays.
 
-    Same operations as the scalar weights; ``x = 1`` needs no branch, since
+    ``(x+1)^s - (x-1)^s = (x+1)^s (1 - r)`` with ``r = ((x-1)/(x+1))^s``, and
+    the gap ``1 - r`` is formed with expm1/log1p, so large ``x`` and ``s``
+    near 0 keep full precision.  ``x = 1`` needs no branch, since
     ``log1p(-1) = -inf`` makes the gap exactly 1.  Arguments are not checked.
     """
     with np.errstate(divide="ignore"):
@@ -78,20 +72,15 @@ def s_overlap_two_mode(
     evaluates the full 4x4 matrix formula; used as the generic route and as a
     self-check for the reduced closed form.
     """
-    pi_s = (
-        4.0
-        * g_weight(s, dec_a.nu_minus)
-        * g_weight(s, dec_a.nu_plus)
-        * g_weight(1.0 - s, dec_b.nu_minus)
-        * g_weight(1.0 - s, dec_b.nu_plus)
+    orders = np.array([s, s, 1.0 - s, 1.0 - s])
+    nus = np.array([dec_a.nu_minus, dec_a.nu_plus, dec_b.nu_minus, dec_b.nu_plus])
+    _check_weight_args(s, nus)
+    g, lam = overlap_weights(orders, nus)
+    sigma = sum(
+        dec.s_matrix @ np.diag(np.repeat(weights, 2)) @ dec.s_matrix.T
+        for dec, weights in ((dec_a, lam[:2]), (dec_b, lam[2:]))
     )
-    sigma = dec_a.s_matrix @ np.diag(
-        [lambda_weight(s, dec_a.nu_minus)] * 2 + [lambda_weight(s, dec_a.nu_plus)] * 2
-    ) @ dec_a.s_matrix.T + dec_b.s_matrix @ np.diag(
-        [lambda_weight(1.0 - s, dec_b.nu_minus)] * 2
-        + [lambda_weight(1.0 - s, dec_b.nu_plus)] * 2
-    ) @ dec_b.s_matrix.T
-    return pi_s / math.sqrt(np.linalg.det(sigma))
+    return 4.0 * float(np.prod(g)) / math.sqrt(np.linalg.det(sigma))
 
 
 def overlap_global(mu, s):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ReportFailure, check_mu, check_order
+from .errors import DomainError, NumericalError, ReportFailure
+from .errors import check_correlation, check_mu, check_order
 from .global_bounds import (
     SOverlapResult,
+    _check_weight_args,
     fidelity_error,
-    g_weight,
-    lambda_weight,
     minimum_over_s,
     overlap_weights,
 )
@@ -27,6 +27,12 @@ from .global_bounds import (
 LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)  # includes 1.0 exactly at index 40
 _UNIT_INDEX = 40
 _DERIVATIVE_TOL = 1e-6
+_DERIVATIVE_STEP = 1e-4  # of the central difference at lambda = 1
+#: a scan evaluates the grid, then the two difference points, as one stack of
+#: seed covariances ``diag(lam, 1/lam)``, exactly ``GaussianPovm(1, 0, lam).covariance()``
+_SCAN_LAMBDAS = np.append(LAMBDA_SCAN_GRID, [1.0 + _DERIVATIVE_STEP, 1.0 - _DERIVATIVE_STEP])
+_SCAN_SEEDS = np.zeros((_SCAN_LAMBDAS.size, 2, 2))
+_SCAN_SEEDS[:, 0, 0], _SCAN_SEEDS[:, 1, 1] = _SCAN_LAMBDAS, 1.0 / _SCAN_LAMBDAS
 
 
 @dataclass(frozen=True)
@@ -90,14 +96,16 @@ def condition_on_povm(mu: float, g: float, povm: GaussianPovm) -> ConditionalPre
     The modulation covariance is ``g^2 (mu I + V_seed)^(-1)`` and the
     conditional covariance is its complement to ``mu I``.
     """
-    check_mu(mu)
-    if abs(g) > mu - 1.0:
-        raise DomainError(f"correlation must satisfy |g| <= mu - 1, got g={g}")
-    v_seed = povm.covariance()
-    v_mod = g * g * np.linalg.inv(mu * np.eye(2) + v_seed)
-    v_cond = mu * np.eye(2) - v_mod
+    check_correlation(check_mu(mu), g)
+    v_cond, v_mod = _condition(mu, g, povm.covariance())
     gain = math.sqrt(2.0) * g / (mu + 1.0) if povm.is_heterodyne else None
     return ConditionalPreparation(v_cond=v_cond, v_mod=v_mod, outcome_gain=gain)
+
+
+def _condition(mu, g, v_seed):
+    """``(v_cond, v_mod)`` for one seed covariance or a stack ``(n, 2, 2)``; unchecked."""
+    v_mod = g * g * np.linalg.inv(mu * np.eye(2) + v_seed)
+    return mu * np.eye(2) - v_mod, v_mod
 
 
 def heterodyne_epsilon(mu: float) -> float:
@@ -127,15 +135,18 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     ``Sigma_s = L_s(mu) I + L_(1-s)(nu) S S^T``; ``S S^T`` is just
     ``V_c / nu``, so no explicit diagonalization is needed.
     """
-    if g is None:
-        g = mu - 1.0
-    prep = condition_on_povm(mu, g, povm)
-    nu = math.sqrt(np.linalg.det(prep.v_cond))
-    pi_s = 2.0 * g_weight(s, mu) * g_weight(1.0 - s, nu)
-    sigma = lambda_weight(s, mu) * np.eye(2) + lambda_weight(1.0 - s, nu) * (
-        prep.v_cond / nu
-    )
-    return pi_s / math.sqrt(np.linalg.det(sigma + prep.v_mod))
+    prep = condition_on_povm(mu, mu - 1.0 if g is None else g, povm)
+    return float(_overlap_local(mu, s, prep.v_cond[None], prep.v_mod[None])[0])
+
+
+def _overlap_local(mu, s, v_cond, v_mod):
+    """:func:`s_overlap_local` over a stack ``(n, 2, 2)``; a matrix route, not the closed form."""
+    nu = np.sqrt(np.linalg.det(v_cond))
+    _check_weight_args(s, nu)
+    g_mu, lam_mu = overlap_weights(s, mu)
+    g_nu, lam_nu = overlap_weights(1.0 - s, nu)
+    sigma = lam_mu * np.eye(2) + lam_nu[:, None, None] * (v_cond / nu[:, None, None])
+    return 2.0 * g_mu * g_nu / np.sqrt(np.linalg.det(sigma + v_mod))
 
 
 def overlap_heterodyne(mu, s):
@@ -177,12 +188,14 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
     ``F = 2 exp(-d^T (v_a + v_b)^(-1) d / 2) / (sqrt(Delta + L) - sqrt(L))``.
     """
     d = np.asarray(mean_diff, float)
-    total = v_a + v_b
-    big_delta = float(np.linalg.det(total))
-    lam = (float(np.linalg.det(v_a)) - 1.0) * (float(np.linalg.det(v_b)) - 1.0)
-    lam = max(lam, 0.0)
-    expo = -0.5 * float(d @ np.linalg.solve(total, d))
-    return 2.0 * math.exp(expo) / (math.sqrt(big_delta + lam) - math.sqrt(lam))
+    expo = -0.5 * float(d @ np.linalg.solve(v_a + v_b, d))
+    return float(_fidelity_prefactor(v_a, v_b)) * math.exp(expo)
+
+
+def _fidelity_prefactor(v_a, v_b):
+    """``2 / (sqrt(Delta + L) - sqrt(L))`` over covariances or stacks; ``L >= 0``."""
+    lam = np.maximum((np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0), 0.0)
+    return 2.0 / (np.sqrt(np.linalg.det(v_a + v_b) + lam) - np.sqrt(lam))
 
 
 #: panels of the radial rule on u in [0, 72]; they widen as the e^-u weight
@@ -278,7 +291,10 @@ class OptimalityScan:
     derivative_at_unit: float
 
 
-def _scan(values: np.ndarray, derivative: float, mu: float, g: float, s, label: str) -> OptimalityScan:
+def _scan(values: np.ndarray, mu: float, g: float, s, label: str) -> OptimalityScan:
+    """Check the values of a scan over ``_SCAN_LAMBDAS``."""
+    values, (plus, minus) = values[:-2], values[-2:]
+    derivative = float(plus - minus) / (2.0 * _DERIVATIVE_STEP)
     min_index = int(np.argmin(values))
     report = OptimalityScan(
         mu=mu,
@@ -306,49 +322,43 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
 
     Evaluates the rank-1, angle-0 POVM family over 81 log-spaced asymmetries
     in [0.1, 10] and additionally requires the central finite-difference
-    derivative at lambda = 1 to vanish within 1e-6.  Raises
+    derivative at lambda = 1 to vanish within 1e-6, all as one stack.  Raises
     :class:`ReportFailure` if either check fails.
     """
-    if not (mu >= 1.0 and 0.0 < g <= mu - 1.0 and 0.0 < s < 1.0):
+    check_mu(mu)
+    if not (0.0 < g <= mu - 1.0 and 0.0 < s < 1.0):
         raise DomainError(f"invalid scan point (mu={mu}, g={g}, s={s})")
-
-    def q_of_lambda(lam: float) -> float:
-        return s_overlap_local(mu, s, GaussianPovm(1.0, 0.0, lam), g=g)
-
-    values = np.array([q_of_lambda(lam) for lam in LAMBDA_SCAN_GRID])
-    h = 1e-4
-    derivative = (q_of_lambda(1.0 + h) - q_of_lambda(1.0 - h)) / (2.0 * h)
-    return _scan(values, derivative, mu, g, s, "overlap scan")
+    values = _overlap_local(mu, s, *_condition(mu, g, _SCAN_SEEDS))
+    return _scan(values, mu, g, s, "overlap scan")
 
 
-def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None, nodes: int = 40) -> float:
+#: normalized probabilists' Gauss-Hermite rule of the displacement average
+_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(40)
+_HERMITE_WEIGHTS = _HERMITE_WEIGHTS / _HERMITE_WEIGHTS.sum()
+
+
+def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> float:
     """Fidelity-based lower bound for the rank-1 POVM with asymmetry ``lam``.
 
     Uses the moment-based fidelity of the physically displaced conditional
     pair, averaged over the actual displacement distribution (covariance
-    equal to the modulation matrix) by a tensor Gauss-Hermite rule.
+    equal to the modulation matrix) by a 40 x 40 tensor Gauss-Hermite rule.
     """
-    if g is None:
-        g = mu - 1.0
-    prep = condition_on_povm(mu, g, GaussianPovm(1.0, 0.0, lam))
+    prep = condition_on_povm(mu, mu - 1.0 if g is None else g, GaussianPovm(1.0, 0.0, lam))
+    return float(_averaged_fidelity(mu, prep.v_cond[None], prep.v_mod[None])[0])
+
+
+def _averaged_fidelity(mu, v_cond, v_mod):
+    """:func:`averaged_fidelity_bound` over a stack ``(n, 2, 2)`` of diagonal pairs."""
     v_a = mu * np.eye(2)
-    sig = np.sqrt(np.diag(prep.v_mod))
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / w.sum()
-    total = (v_a + prep.v_cond).diagonal()
-    dets = (
-        float(np.linalg.det(v_a + prep.v_cond)),
-        (float(np.linalg.det(v_a)) - 1.0) * (float(np.linalg.det(prep.v_cond)) - 1.0),
+    total = np.diagonal(v_a + v_cond, axis1=1, axis2=2)
+    spread = np.sqrt(np.diagonal(v_mod, axis1=1, axis2=2))[:, :, None] * _HERMITE_NODES
+    q = spread * spread / total[:, :, None]
+    f = _fidelity_prefactor(v_a, v_cond)[:, None, None] * np.exp(
+        -0.5 * (q[:, 0, :, None] + q[:, 1, None, :])
     )
-    prefactor = 2.0 / (math.sqrt(dets[0] + dets[1]) - math.sqrt(max(dets[1], 0.0)))
-    mx = sig[0] * t
-    my = sig[1] * t
-    expo = np.exp(
-        -0.5 * (np.add.outer(mx * mx / total[0], my * my / total[1]))
-    )
-    f = prefactor * expo
-    vals = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - f))) / 2.0
-    return float(w @ vals @ w)
+    # sums, not matmul: BLAS may round a row differently in stacks of other sizes
+    return ((fidelity_error(f) * _HERMITE_WEIGHTS).sum(axis=2) * _HERMITE_WEIGHTS).sum(axis=1)
 
 
 def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityScan:
@@ -360,13 +370,6 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     of the bound the optimality claim holds for.
     """
     check_mu(mu)
-    gval = mu - 1.0 if g is None else g
-    values = np.array(
-        [averaged_fidelity_bound(mu, lam, g=gval) for lam in LAMBDA_SCAN_GRID]
-    )
-    h = 1e-4
-    derivative = (
-        averaged_fidelity_bound(mu, 1.0 + h, g=gval)
-        - averaged_fidelity_bound(mu, 1.0 - h, g=gval)
-    ) / (2.0 * h)
-    return _scan(values, derivative, mu, gval, None, "fidelity scan")
+    gval = check_correlation(mu, mu - 1.0 if g is None else g)
+    values = _averaged_fidelity(mu, *_condition(mu, gval, _SCAN_SEEDS))
+    return _scan(values, mu, gval, None, "fidelity scan")

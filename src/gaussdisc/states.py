@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_mu
+from .errors import DomainError, NumericalError, check_correlation, check_mu
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block(
@@ -89,11 +89,7 @@ def make_state_one(mu: float) -> SymmetricTwoModeCM:
 
 def make_symmetric_state(mu: float, g: float) -> SymmetricTwoModeCM:
     """Separable member of the ``g = gp`` family; requires ``|g| <= mu - 1``."""
-    check_mu(mu)
-    if abs(g) > mu - 1.0:
-        raise DomainError(
-            f"|g| <= mu - 1 required for the separable family, got g={g}, mu={mu}"
-        )
+    check_correlation(check_mu(mu), g)
     return SymmetricTwoModeCM(mu, g, g)
 
 
@@ -148,10 +144,7 @@ def williamson_symmetric(cm: SymmetricTwoModeCM) -> WilliamsonDecomposition:
     ok, violations = check_bona_fide(cm)
     if not ok:
         raise DomainError("not a bona-fide covariance matrix: " + "; ".join(violations))
-    if abs(cm.g) > cm.mu - 1.0:
-        raise DomainError(
-            f"separable-family decomposition requires |g| <= mu - 1, got g={cm.g}"
-        )
+    check_correlation(cm.mu, cm.g)
     s = _SYMMETRIC_DIAGONALIZER
     if cm.g < 0.0:
         s = s @ _MODE_SWAP

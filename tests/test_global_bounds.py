@@ -46,17 +46,19 @@ def test_weights_reject_bad_arguments():
         g_weight(0.0, 2.0)
     with pytest.raises(DomainError):
         lambda_weight(1.0, 2.0)
+    with pytest.raises(DomainError):
+        g_weight(0.5, float("nan"))
 
 
 def test_array_weights_match_scalar_weights():
-    # same operations, numpy's elementwise functions against the math module's
+    # the scalar weights are checked views of the array weights
     orders = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6])
     args = np.concatenate(([1.0], 1.0 + np.logspace(-12.0, 0.0, 13), np.logspace(0.5, 12.0, 24)))
     g, lam = overlap_weights(orders[:, None], args[None, :])
     for i, s in enumerate(orders.tolist()):
         for j, x in enumerate(args.tolist()):
-            assert abs(g[i, j] - g_weight(s, x)) <= 4.0 * math.ulp(g_weight(s, x))
-            assert abs(lam[i, j] - lambda_weight(s, x)) <= 4.0 * math.ulp(lambda_weight(s, x))
+            assert g[i, j] == g_weight(s, x)
+            assert lam[i, j] == lambda_weight(s, x)
 
 
 def test_weights_and_bound_finite_at_large_mu():

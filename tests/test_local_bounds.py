@@ -14,6 +14,7 @@ from gaussdisc import (
     gaussian_fidelity_one_mode,
     heterodyne_epsilon,
     local_bounds,
+    make_symmetric_state,
     p_lower_local,
     p_upper_local,
     qcb_global,
@@ -22,6 +23,7 @@ from gaussdisc import (
     verify_fidelity_optimality,
     verify_heterodyne_optimality,
 )
+from gaussdisc.local_bounds import LAMBDA_SCAN_GRID
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 HET = GaussianPovm.heterodyne()
@@ -265,3 +267,30 @@ def test_averaged_fidelity_bound_matches_quadrature_at_unit_lambda():
     for mu in (1.5, 3.0):
         value = averaged_fidelity_bound(mu, 1.0)
         assert 0.0 < value <= p_upper_local(mu).p_upper + 1e-12
+
+
+@pytest.mark.parametrize("mu, g, s", [(2.0, 1.0, 0.5), (5.0, 1.3, 0.1), (30.0, 29.0, 0.9)])
+def test_scan_entries_are_single_point_evaluations(mu, g, s):
+    # the scans evaluate their grid as one stack; each entry must be exactly
+    # the single-POVM value at that asymmetry
+    overlap_scan = verify_heterodyne_optimality(mu, g, s)
+    fidelity_scan = verify_fidelity_optimality(mu, g)
+    for i in (0, 17, 40, 80):
+        lam = float(LAMBDA_SCAN_GRID[i])
+        povm = GaussianPovm(1.0, 0.0, lam)
+        assert overlap_scan.values[i] == s_overlap_local(mu, s, povm, g=g)
+        assert fidelity_scan.values[i] == averaged_fidelity_bound(mu, lam, g=g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_symmetric_state(2.0, math.nan),
+        lambda: condition_on_povm(2.0, math.nan, HET),
+        lambda: verify_fidelity_optimality(2.0, math.nan),
+        lambda: verify_fidelity_optimality(2.0, 1.5),
+    ],
+)
+def test_bad_correlation_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -17,7 +17,7 @@ pytest.importorskip("mpmath")
 
 _REFERENCE_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 
-MUS = (1.001, 1.01, 1.3, 2.0, 5.0, 30.0, 300.0, 1000.0)
+MUS = (1.001, 1.01, 1.3, 2.0, 5.0, 30.0, 300.0, 1000.0, 1e9, 1e12)
 #: relative tolerances: the closed forms and the minima over s are good to a
 #: few ulp; the quadrature, the exponents near mu = 1 (-ln Q with Q near 1)
 #: and the entropy differences lose digits to conditioning

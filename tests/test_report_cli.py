@@ -138,6 +138,16 @@ def test_cli_sweep_shape(tmp_path):
     assert out.read_bytes().count(b"\r") == 0  # LF endings only
 
 
+def test_cli_main_twice_in_one_process(tmp_path, capsys):
+    # the parser is built once; no argument of the first call may leak into the second
+    from gaussdisc.cli import main
+
+    assert main(["sweep", "--points", "5", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "b.csv")]) == 0
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 6
+    assert len((tmp_path / "b.csv").read_text().splitlines()) == 201
+
+
 def test_cli_sweep_is_byte_deterministic(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--mu-min", "1.01", "--mu-max", "50", "--points", "8",
