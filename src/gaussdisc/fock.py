@@ -10,6 +10,13 @@ The correlated encoded state is realized as a Gauss-Hermite discretized
 mixture of identical coherent pairs, which certifies its separability by
 construction; with the displacement variance chosen below its covariance
 matrix is the symmetric normal form with correlations at the separable edge.
+
+That mixture has rank at most ``nodes**2``, so the overlaps take its spectrum
+from the ``nodes**2 x nodes**2`` Gram matrix of its coherent-pair factor, at
+O(cutoff**2 nodes**4) instead of the O(cutoff**6) of a dense
+eigendecomposition; two-mode moments use partial traces and one tensor
+contraction instead of Kronecker-product operators.  The module needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -54,12 +61,17 @@ def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes of a coherent state (recursively, stable)."""
-    amps = np.empty(cutoff, complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    if cutoff > 1:
-        amps[1:] = amps[0] * np.cumprod(alpha / np.sqrt(np.arange(1.0, cutoff)))
+def coherent_state(alpha: complex | np.ndarray, cutoff: int) -> np.ndarray:
+    """Number-basis amplitudes of a coherent state (recursively, stable).
+
+    For an array of amplitudes the result has one column per amplitude,
+    shape ``(cutoff,) + alpha.shape``.
+    """
+    alpha = np.asarray(alpha)
+    amps = np.empty((cutoff,) + alpha.shape, complex)
+    amps[0] = np.exp(-np.abs(alpha) ** 2 / 2.0)
+    steps = np.sqrt(np.arange(1.0, cutoff)).reshape((-1,) + (1,) * alpha.ndim)
+    amps[1:] = amps[0] * np.cumprod(alpha / steps, axis=0)
     return amps
 
 
@@ -87,6 +99,28 @@ def build_thermal_product(mu: float, config: FockConfig) -> np.ndarray:
     return np.kron(single, single)
 
 
+def _correlated_factor(mu: float, config: FockConfig) -> np.ndarray:
+    """Factor ``A`` (``cutoff**2 x nodes**2``, complex) with ``rho = A A^H``.
+
+    Column ``k`` is the coherent pair of node pair ``k`` scaled by the square
+    root of its weight, so the trace of the correlated state is ``||A||_F^2``.
+    """
+    check_mu(mu)
+    cutoff, nodes = config.cutoff, config.modulation_nodes
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    amp = math.sqrt((mu - 1.0) / 4.0) * t
+    single = coherent_state((amp[:, None] + 1j * amp).ravel(), cutoff)
+    pairs = (single[:, None, :] * single[None, :, :]).reshape(cutoff * cutoff, -1)
+    factor = pairs * np.sqrt(np.outer(w, w).ravel())
+    trace = float(np.vdot(factor, factor).real)
+    if trace < 1.0 - config.convergence_tol:
+        raise ConvergenceError(
+            f"correlated state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
+        )
+    return factor
+
+
 def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     """Maximally correlated separable state as a coherent-pair mixture.
 
@@ -97,30 +131,9 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     covariance matrix is the symmetric normal form with correlations
     ``mu - 1`` on both quadratures.
     """
-    check_mu(mu)
-    cutoff, nodes = config.cutoff, config.modulation_nodes
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / w.sum()
-    amp = math.sqrt((mu - 1.0) / 4.0) * t
-    dim = cutoff * cutoff
-    vectors = np.empty((dim, nodes * nodes), complex)
-    weights = np.empty(nodes * nodes)
-    k = 0
-    for i, re in enumerate(amp):
-        for j, im in enumerate(amp):
-            single = coherent_state(re + 1j * im, cutoff)
-            vectors[:, k] = np.kron(single, single)
-            weights[k] = w[i] * w[j]
-            k += 1
-    rho = (vectors * weights) @ vectors.conj().T
+    factor = _correlated_factor(mu, config)
     # conjugate node pairs carry equal weight, so the matrix is real
-    rho = rho.real
-    trace = float(np.trace(rho))
-    if trace < 1.0 - config.convergence_tol:
-        raise ConvergenceError(
-            f"correlated state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
-        )
-    return rho
+    return (factor @ factor.conj().T).real
 
 
 def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.ndarray:
@@ -131,10 +144,12 @@ def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.
         vec = coherent_state(alpha, cutoff)
         rho = np.outer(vec, vec.conj())
     else:
-        from scipy.linalg import expm  # scipy only loads on this oracle path
-
         base = build_thermal(n_bar, FockConfig(cutoff, convergence_tol=tol))
-        op = expm(alpha * destroy(cutoff).T - np.conj(alpha) * destroy(cutoff))
+        # the truncated displacement exp(-iH) from the spectrum of the
+        # Hermitian H = i (alpha a^dag - alpha^* a)
+        a = destroy(cutoff)
+        phases, basis = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+        op = (basis * np.exp(-1j * phases)) @ basis.conj().T
         rho = op @ base @ op.conj().T
     trace = float(np.trace(rho).real)
     if trace < 1.0 - tol:
@@ -186,20 +201,25 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, float]:
     """Oracle overlaps of the encoded pair for several orders at one cutoff.
 
-    Shares a single eigendecomposition of the correlated state across all
-    requested orders; the uncorrelated state is diagonal, so each order costs
-    one matrix-vector contraction.
+    The correlated state has rank at most ``nodes**2``: its nonzero spectrum
+    is that of the Gram matrix ``A^H A`` of its factor (:func:`_correlated_factor`),
+    and ``A X / sqrt(lambda)`` are the matching eigenvectors, at O(dim nodes**4)
+    instead of the O(dim**3) of a dense eigendecomposition.  The spectrum is
+    shared across all requested orders; the uncorrelated state is diagonal, so
+    each order costs one matrix-vector contraction.
     """
-    thermal_diag = np.diag(build_thermal_product(mu, config)).copy()
-    rho1 = build_correlated(mu, config)
-    eigvals, eigvecs = _checked_spectrum(rho1)
-    weights = eigvecs**2  # real symmetric by construction
+    # the diagonal of build_thermal_product, without its dim x dim matrix
+    single = np.diag(build_thermal((mu - 1.0) / 2.0, config))
+    thermal_diag = np.outer(single, single).ravel()
+    factor = _correlated_factor(mu, config)
+    eigvals, eigvecs = _checked_spectrum(factor.conj().T @ factor)
+    kept = eigvals > 0.0
+    eigvals = eigvals[kept]
+    weights = np.abs(factor @ (eigvecs[:, kept] / np.sqrt(eigvals))) ** 2
     out = {}
     for s in s_values:
         check_order(s)
-        with np.errstate(divide="ignore"):
-            powered = np.where(eigvals > 0.0, eigvals ** (1.0 - s), 0.0)
-        diag_of_power = weights @ powered
+        diag_of_power = weights @ eigvals ** (1.0 - s)
         out[float(s)] = float(thermal_diag**s @ diag_of_power)
     return out
 
@@ -229,7 +249,10 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     """Mean vector and covariance matrix extracted from a Fock-basis state.
 
     Uses ``x = a + a^dag`` and ``p = -i (a - a^dag)`` so the vacuum
-    covariance is the identity.
+    covariance is the identity.  A two-mode state is never multiplied by a
+    Kronecker product: the single-mode blocks come from the partial traces
+    and the cross-mode block from one contraction of ``rho`` as a
+    ``cutoff**4`` tensor, at O(dim**2).
     """
     dim = rho.shape[0]
     if n_modes == 1:
@@ -241,13 +264,18 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     else:
         raise DomainError("only one- and two-mode states are supported")
     a = destroy(cutoff)
-    x = a + a.T
-    p = -1j * (a - a.T)
-    eye = np.eye(cutoff)
+    ops = [a + a.T, -1j * (a - a.T)]
     if n_modes == 1:
-        ops = [x, p]
-    else:
-        ops = [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
+        return _one_mode_moments(rho, ops)
+    mean_0, cm_0 = _one_mode_moments(partial_trace(rho, 0), ops)
+    mean_1, cm_1 = _one_mode_moments(partial_trace(rho, 1), ops)
+    # Tr(rho (A x B)) for A, B in (x, p); operators on different modes commute
+    joint = np.einsum("ijkl,aki,blj->ab", rho.reshape((cutoff,) * 4), ops, ops).real
+    cross = joint - np.outer(mean_0, mean_1)
+    return np.concatenate([mean_0, mean_1]), np.block([[cm_0, cross], [cross.T, cm_1]])
+
+
+def _one_mode_moments(rho: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
     mean = np.array([float(np.trace(rho @ op).real) for op in ops])
     cm = np.empty((len(ops), len(ops)))
     for i, op_i in enumerate(ops):

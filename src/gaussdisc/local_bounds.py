@@ -295,7 +295,8 @@ def _scan(values: np.ndarray, mu: float, g: float, s, label: str) -> OptimalityS
     """Check the values of a scan over ``_SCAN_LAMBDAS``."""
     values, (plus, minus) = values[:-2], values[-2:]
     derivative = float(plus - minus) / (2.0 * _DERIVATIVE_STEP)
-    min_index = int(np.argmin(values))
+    # near mu = 1 the scan is flat to rounding: a tie with lambda = 1 passes
+    min_index = _UNIT_INDEX if values[_UNIT_INDEX] == values.min() else int(np.argmin(values))
     report = OptimalityScan(
         mu=mu,
         g=g,

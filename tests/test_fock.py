@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +27,9 @@ from gaussdisc import (
     s_overlap_curve,
     s_overlap_global,
 )
+from gaussdisc.fock import EIG_CLAMP, destroy
+
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def test_fock_config_validation():
@@ -178,3 +185,94 @@ def test_partial_trace_validation():
         partial_trace(rho, 2)
     with pytest.raises(DomainError):
         partial_trace(np.eye(10), 0)
+
+
+def _dense_s_overlap_curve(mu, s_values, config):
+    # dense eigendecomposition of the full cutoff**2 x cutoff**2 state
+    thermal_diag = np.diag(build_thermal_product(mu, config))
+    eigvals, eigvecs = np.linalg.eigh(build_correlated(mu, config))
+    eigvals = np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
+    return {s: thermal_diag**s @ (eigvecs**2 @ eigvals ** (1.0 - s)) for s in s_values}
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.8, 2.45])
+def test_low_rank_curve_matches_dense_spectrum(mu):
+    config = FockConfig(40, 16)
+    curve = s_overlap_curve(mu, [0.1, 0.9], config)
+    dense = _dense_s_overlap_curve(mu, [0.1, 0.9], config)
+    for s in (0.1, 0.9):
+        assert abs(curve[s] - dense[s]) < 1e-12
+
+
+def _kronecker_moments(rho, n_modes):
+    # the definition: every moment as a trace against a full-space operator
+    cutoff = rho.shape[0] if n_modes == 1 else math.isqrt(rho.shape[0])
+    a = destroy(cutoff)
+    x, p = a + a.T, -1j * (a - a.T)
+    eye = np.eye(cutoff)
+    if n_modes == 1:
+        ops = [x, p]
+    else:
+        ops = [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
+    mean = np.array([np.trace(rho @ op).real for op in ops])
+    cm = np.array(
+        [[0.5 * np.trace(rho @ (oi @ oj + oj @ oi)).real for oj in ops] for oi in ops]
+    )
+    return mean, cm - np.outer(mean, mean)
+
+
+@pytest.mark.parametrize("dim, n_modes", [(36, 2), (9, 1)])
+def test_moments_match_kronecker_definition_on_random_states(dim, n_modes):
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    mean, cm = quadrature_moments(rho, n_modes)
+    ref_mean, ref_cm = _kronecker_moments(rho, n_modes)
+    np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cm, ref_cm, rtol=0, atol=1e-12)
+
+
+def test_moments_match_kronecker_definition_on_correlated_state():
+    rho = build_correlated(1.8, FockConfig(12, 10))
+    for got, ref in zip(quadrature_moments(rho, 2), _kronecker_moments(rho, 2)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_bar, mean", [(0.3, (0.4, -1.1)), (1.2, (2.0, 0.5)), (0.05, (-3.0, 2.5))])
+def test_displacement_matches_matrix_exponential(n_bar, mean):
+    from scipy.linalg import expm
+
+    cutoff = 60
+    alpha = (mean[0] + 1j * mean[1]) / 2.0
+    a = destroy(cutoff)
+    op = expm(alpha * a.T - np.conj(alpha) * a)
+    expected = op @ build_thermal(n_bar, FockConfig(cutoff)) @ op.conj().T
+    got = displaced_thermal(n_bar, mean, cutoff)
+    assert np.abs(got - expected).max() < 1e-13
+
+
+def test_oracle_op_loads_no_scipy():
+    code = """
+import sys
+import gaussdisc as gd
+config = gd.FockConfig(12, 10)
+gd.s_overlap_converged(1.8, [0.3, 0.5, 0.7], config)
+gd.quadrature_moments(gd.build_correlated(1.8, config), 2)
+rho_a = gd.build_thermal(0.4, gd.FockConfig(60))
+rho_b = gd.displaced_thermal(0.2, (0.5, -0.3), 60)
+gd.oracle_fidelity(rho_a, rho_b)
+print(sorted(m for m in sys.modules if "scipy" in m))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_oracle_point_beyond_cli_scope():
+    # doubled to cutoff 80, a 6400-dimensional two-mode space
+    values = s_overlap_converged(4.0, [0.3, 0.5, 0.7], FockConfig(40, 16))
+    for s, value in values.items():
+        assert abs(value - s_overlap_global(4.0, s)) < 1e-3

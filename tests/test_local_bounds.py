@@ -23,7 +23,7 @@ from gaussdisc import (
     verify_fidelity_optimality,
     verify_heterodyne_optimality,
 )
-from gaussdisc.local_bounds import LAMBDA_SCAN_GRID
+from gaussdisc.local_bounds import LAMBDA_SCAN_GRID, _scan
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 HET = GaussianPovm.heterodyne()
@@ -251,6 +251,26 @@ def test_heterodyne_optimality_rejects_bad_points():
         verify_heterodyne_optimality(2.0, 0.0, 0.5)
     with pytest.raises(DomainError):
         verify_heterodyne_optimality(2.0, 1.0, 1.5)
+
+
+def test_scan_flat_to_rounding_near_mu_one_passes():
+    # the 81 values span ~2e-14 here and the value at lambda = 1 ties with the
+    # minimum; an argmin alone picks an earlier tied grid point
+    scan = verify_heterodyne_optimality(1.0001, 5e-5, 0.7)
+    assert scan.min_lambda == 1.0
+    assert scan.values[40] == scan.values.min()
+
+
+def test_scan_with_minimum_elsewhere_raises():
+    log_grid = np.log(LAMBDA_SCAN_GRID)
+    values = np.append((log_grid - log_grid[50]) ** 2, [0.0, 0.0])
+    with pytest.raises(ReportFailure, match=f"lambda={LAMBDA_SCAN_GRID[50]:g}, not 1"):
+        _scan(values, 2.0, 1.0, 0.5, "overlap scan")
+    # a minimum below the value at lambda = 1 by one rounding step still fails
+    values = np.append(np.full(81, 1.0), [1.0, 1.0])
+    values[3] = np.nextafter(1.0, 0.0)
+    with pytest.raises(ReportFailure, match="not 1"):
+        _scan(values, 2.0, 1.0, 0.5, "overlap scan")
 
 
 def test_fidelity_scan_confirms_heterodyne():
