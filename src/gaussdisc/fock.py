@@ -11,12 +11,16 @@ mixture of identical coherent pairs, which certifies its separability by
 construction; with the displacement variance chosen below its covariance
 matrix is the symmetric normal form with correlations at the separable edge.
 
-That mixture has rank at most ``nodes**2``, so the overlaps take its spectrum
-from the ``nodes**2 x nodes**2`` Gram matrix of its coherent-pair factor, at
-O(cutoff**2 nodes**4) instead of the O(cutoff**6) of a dense
-eigendecomposition; two-mode moments use partial traces and one tensor
-contraction instead of Kronecker-product operators.  The module needs numpy
-only.
+That mixture has rank at most ``nodes**2``, and it is block diagonal in the
+total photon number mod 4: the node grid is invariant under ``alpha -> i alpha``
+with equal weights, and a coherent pair only picks up the phase
+``i**(n1 + n2)`` under that map.  Each of the four blocks is kept as a factor
+with one column per orbit of the map (64 at the default 16 nodes), so the
+overlaps take the spectrum from four ``nodes**2 / 4``-sized Gram matrices, at
+O(cutoff**2 nodes**4 / 16) instead of the O(cutoff**6) of a dense
+eigendecomposition; two-mode moments use partial traces and two pairwise
+tensor contractions instead of Kronecker-product operators.  The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -93,32 +97,50 @@ def build_thermal(n_bar: float, config: FockConfig) -> np.ndarray:
     return np.diag(diag)
 
 
+def _thermal_pair_diag(mu: float, config: FockConfig) -> np.ndarray:
+    """Diagonal of :func:`build_thermal_product`, over the two-mode number basis."""
+    single = np.diag(build_thermal((mu - 1.0) / 2.0, config))
+    return np.outer(single, single).ravel()
+
+
 def build_thermal_product(mu: float, config: FockConfig) -> np.ndarray:
     """Two identical uncorrelated thermal modes with variance ``mu``."""
-    single = build_thermal((mu - 1.0) / 2.0, config)
-    return np.kron(single, single)
+    return np.diag(_thermal_pair_diag(mu, config))
 
 
-def _correlated_factor(mu: float, config: FockConfig) -> np.ndarray:
-    """Factor ``A`` (``cutoff**2 x nodes**2``, complex) with ``rho = A A^H``.
+def _correlated_blocks(mu: float, config: FockConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs ``(rows, A_k)`` with ``rho = sum_k A_k A_k^H`` over ``k = 0..3``.
 
-    Column ``k`` is the coherent pair of node pair ``k`` scaled by the square
-    root of its weight, so the trace of the correlated state is ``||A||_F^2``.
+    ``rows`` are the two-mode basis indices with ``(n1 + n2) % 4 == k``.  The
+    node grid is invariant under ``alpha -> i alpha`` with equal weights, and
+    ``|i alpha, i alpha> = i**(n1 + n2) |alpha, alpha>``, so the four pairs of
+    an orbit sum to four times the block-diagonal part of one of them.  The
+    columns of ``A_k`` are the coherent pairs of one representative per orbit
+    (``Re alpha > 0, Im alpha >= 0``, plus the origin of an odd node count,
+    an orbit of size 1) restricted to ``rows`` and scaled by
+    ``sqrt(orbit size * weight)``; the trace of the correlated state is
+    ``sum_k ||A_k||_F^2``.
     """
     check_mu(mu)
     cutoff, nodes = config.cutoff, config.modulation_nodes
+    # hermegauss symmetrises nodes and weights, so the orbits are exact
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
     amp = math.sqrt((mu - 1.0) / 4.0) * t
-    single = coherent_state((amp[:, None] + 1j * amp).ravel(), cutoff)
+    re, im, origin = t > 0.0, t >= 0.0, t == 0.0
+    alphas = np.concatenate([(amp[re, None] + 1j * amp[im]).ravel(), amp[origin]])
+    scale = np.concatenate([4.0 * np.outer(w[re], w[im]).ravel(), w[origin] ** 2])
+    single = coherent_state(alphas, cutoff)
     pairs = (single[:, None, :] * single[None, :, :]).reshape(cutoff * cutoff, -1)
-    factor = pairs * np.sqrt(np.outer(w, w).ravel())
-    trace = float(np.vdot(factor, factor).real)
+    pairs *= np.sqrt(scale)
+    trace = float(np.vdot(pairs, pairs).real)
     if trace < 1.0 - config.convergence_tol:
         raise ConvergenceError(
             f"correlated state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
         )
-    return factor
+    n = np.arange(cutoff)
+    block = ((n[:, None] + n) % 4).ravel()
+    return [(rows, pairs[rows]) for rows in (np.flatnonzero(block == k) for k in range(4))]
 
 
 def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
@@ -131,9 +153,12 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     covariance matrix is the symmetric normal form with correlations
     ``mu - 1`` on both quadratures.
     """
-    factor = _correlated_factor(mu, config)
-    # conjugate node pairs carry equal weight, so the matrix is real
-    return (factor @ factor.conj().T).real
+    dim = config.cutoff**2
+    rho = np.zeros((dim, dim))
+    for rows, factor in _correlated_blocks(mu, config):
+        # conjugate node pairs carry equal weight, so every block is real
+        rho[np.ix_(rows, rows)] = (factor @ factor.conj().T).real
+    return rho
 
 
 def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.ndarray:
@@ -201,27 +226,27 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, float]:
     """Oracle overlaps of the encoded pair for several orders at one cutoff.
 
-    The correlated state has rank at most ``nodes**2``: its nonzero spectrum
-    is that of the Gram matrix ``A^H A`` of its factor (:func:`_correlated_factor`),
-    and ``A X / sqrt(lambda)`` are the matching eigenvectors, at O(dim nodes**4)
-    instead of the O(dim**3) of a dense eigendecomposition.  The spectrum is
-    shared across all requested orders; the uncorrelated state is diagonal, so
-    each order costs one matrix-vector contraction.
+    The correlated state is block diagonal (:func:`_correlated_blocks`): the
+    nonzero spectrum of each block is that of the Gram matrix ``A_k^H A_k`` of
+    its factor, and ``A_k X / sqrt(lambda)`` are the matching eigenvectors, at
+    O(dim nodes**4 / 16) instead of the O(dim**3) of a dense
+    eigendecomposition.  The spectra are shared across all requested orders;
+    the uncorrelated state is diagonal, so each order costs one
+    matrix-vector contraction per block.
     """
-    # the diagonal of build_thermal_product, without its dim x dim matrix
-    single = np.diag(build_thermal((mu - 1.0) / 2.0, config))
-    thermal_diag = np.outer(single, single).ravel()
-    factor = _correlated_factor(mu, config)
-    eigvals, eigvecs = _checked_spectrum(factor.conj().T @ factor)
-    kept = eigvals > 0.0
-    eigvals = eigvals[kept]
-    weights = np.abs(factor @ (eigvecs[:, kept] / np.sqrt(eigvals))) ** 2
-    out = {}
-    for s in s_values:
-        check_order(s)
-        diag_of_power = weights @ eigvals ** (1.0 - s)
-        out[float(s)] = float(thermal_diag**s @ diag_of_power)
-    return out
+    orders = [float(check_order(s)) for s in s_values]
+    thermal_diag = _thermal_pair_diag(mu, config)
+    spectra = []
+    for rows, factor in _correlated_blocks(mu, config):
+        eigvals, eigvecs = _checked_spectrum(factor.conj().T @ factor)
+        kept = eigvals > 0.0
+        eigvals = eigvals[kept]
+        weights = np.abs(factor @ (eigvecs[:, kept] / np.sqrt(eigvals))) ** 2
+        spectra.append((thermal_diag[rows], eigvals, weights))
+    return {
+        s: float(sum(diag**s @ (weights @ lam ** (1.0 - s)) for diag, lam, weights in spectra))
+        for s in orders
+    }
 
 
 def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, float]:
@@ -251,8 +276,8 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     Uses ``x = a + a^dag`` and ``p = -i (a - a^dag)`` so the vacuum
     covariance is the identity.  A two-mode state is never multiplied by a
     Kronecker product: the single-mode blocks come from the partial traces
-    and the cross-mode block from one contraction of ``rho`` as a
-    ``cutoff**4`` tensor, at O(dim**2).
+    and the cross-mode block from two pairwise contractions of ``rho`` as a
+    ``cutoff**4`` tensor, one operator at a time, at O(dim**2).
     """
     dim = rho.shape[0]
     if n_modes == 1:
@@ -270,7 +295,9 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     mean_0, cm_0 = _one_mode_moments(partial_trace(rho, 0), ops)
     mean_1, cm_1 = _one_mode_moments(partial_trace(rho, 1), ops)
     # Tr(rho (A x B)) for A, B in (x, p); operators on different modes commute
-    joint = np.einsum("ijkl,aki,blj->ab", rho.reshape((cutoff,) * 4), ops, ops).real
+    joint = np.einsum(
+        "ijkl,aki,blj->ab", rho.reshape((cutoff,) * 4), ops, ops, optimize=True
+    ).real
     cross = joint - np.outer(mean_0, mean_1)
     return np.concatenate([mean_0, mean_1]), np.block([[cm_0, cross], [cross.T, cm_1]])
 

@@ -27,6 +27,7 @@ from gaussdisc import (
     s_overlap_curve,
     s_overlap_global,
 )
+from gaussdisc import fock
 from gaussdisc.fock import EIG_CLAMP, destroy
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -96,6 +97,35 @@ def test_thermal_product_moments():
     rho = build_thermal_product(2.0, FockConfig(24))
     _, cm = quadrature_moments(rho, n_modes=2)
     np.testing.assert_allclose(cm, 2.0 * np.eye(4), atol=1e-6)
+
+
+@pytest.mark.parametrize("cutoff", [12, 24])
+def test_thermal_product_equals_kronecker_form(cutoff):
+    config = FockConfig(cutoff)
+    single = build_thermal(0.4, config)
+    assert np.array_equal(build_thermal_product(1.8, config), np.kron(single, single))
+
+
+def _written_out_mixture(mu, config):
+    # the definition: every node pair's weighted coherent pair, one at a time
+    cutoff, nodes = config.cutoff, config.modulation_nodes
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    amp = math.sqrt((mu - 1.0) / 4.0) * t
+    columns = []
+    for i in range(nodes):
+        for j in range(nodes):
+            vec = coherent_state(amp[i] + 1j * amp[j], cutoff)
+            columns.append(math.sqrt(w[i] * w[j]) * np.kron(vec, vec))
+    pairs = np.array(columns).T
+    return pairs @ pairs.conj().T
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 16, 17])
+def test_correlated_state_matches_written_out_mixture(nodes):
+    config = FockConfig(14, nodes)
+    rho = build_correlated(1.9, config)
+    assert np.abs(rho - _written_out_mixture(1.9, config)).max() < 1e-14
 
 
 def test_oracle_overlap_identical_states():
@@ -188,20 +218,33 @@ def test_partial_trace_validation():
 
 
 def _dense_s_overlap_curve(mu, s_values, config):
-    # dense eigendecomposition of the full cutoff**2 x cutoff**2 state
+    # dense eigendecomposition of the full cutoff**2 x cutoff**2 state, which
+    # is real because conjugate node pairs carry equal weight
     thermal_diag = np.diag(build_thermal_product(mu, config))
-    eigvals, eigvecs = np.linalg.eigh(build_correlated(mu, config))
+    eigvals, eigvecs = np.linalg.eigh(_written_out_mixture(mu, config).real)
     eigvals = np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
     return {s: thermal_diag**s @ (eigvecs**2 @ eigvals ** (1.0 - s)) for s in s_values}
 
 
-@pytest.mark.parametrize("mu", [1.1, 1.8, 2.45])
-def test_low_rank_curve_matches_dense_spectrum(mu):
-    config = FockConfig(40, 16)
+@pytest.mark.parametrize(
+    "mu, config",
+    [pytest.param(mu, FockConfig(40, 16), id=f"{mu}") for mu in (1.1, 1.8, 2.45)]
+    + [pytest.param(mu, FockConfig(20, 9), id=f"{mu}-odd") for mu in (1.1, 1.8, 2.45)],
+)
+def test_low_rank_curve_matches_dense_spectrum(mu, config):
     curve = s_overlap_curve(mu, [0.1, 0.9], config)
     dense = _dense_s_overlap_curve(mu, [0.1, 0.9], config)
     for s in (0.1, 0.9):
         assert abs(curve[s] - dense[s]) < 1e-12
+
+
+def test_curve_checks_every_order_before_linear_algebra(monkeypatch):
+    def unreachable(rho):
+        raise AssertionError("eigendecomposition before the order check")
+
+    monkeypatch.setattr(fock, "_checked_spectrum", unreachable)
+    with pytest.raises(DomainError):
+        s_overlap_curve(1.5, [0.5, 1.0], FockConfig(12, 8))
 
 
 def _kronecker_moments(rho, n_modes):

@@ -205,6 +205,13 @@ def test_cli_oracle_check_trivial_point():
     assert "within" in proc.stdout
 
 
+def test_cli_oracle_check_odd_node_count():
+    # an odd grid has a node at the origin, an orbit of its own
+    proc = run_cli("oracle-check", "--nodes", "9")
+    assert proc.returncode == 0
+    assert "within" in proc.stdout
+
+
 def test_cli_oracle_check_rejects_out_of_scope():
     proc = run_cli("oracle-check", "--mu", "5.0")
     assert proc.returncode == 2
