@@ -8,7 +8,7 @@ never cross: the global detector is strictly better whenever there is any
 correlation to detect.
 """
 
-from gaussdisc import bhattacharyya_global, info_bounds, local_bounds
+from gaussdisc import bhattacharyya_global, info_bounds, p_lower_local, p_upper_local
 
 header = (
     f"{'mu':>6} {'P-':>9} {'P+':>9} {'Ploc-':>9} {'Ploc+':>9}"
@@ -17,11 +17,10 @@ header = (
 print(header)
 for mu in (1.0, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0):
     glob = bhattacharyya_global(mu)
-    loc = local_bounds(mu)
     i_lower, i_upper = info_bounds(glob.p_upper, glob.p_lower)
     print(
         f"{mu:6g} {glob.p_lower:9.5f} {glob.p_upper:9.5f}"
-        f" {loc.p_lower:9.5f} {loc.p_upper:9.5f}"
+        f" {p_lower_local(mu):9.5f} {p_upper_local(mu).p_upper:9.5f}"
         f" {i_lower:10.5f} {i_upper:10.5f}"
     )
 

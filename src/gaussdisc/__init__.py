@@ -48,14 +48,12 @@ from .global_bounds import (
 from .local_bounds import (
     ConditionalPreparation,
     GaussianPovm,
-    LocalBounds,
     OptimalityScan,
     averaged_fidelity_bound,
     condition_on_povm,
     fidelity_heterodyne,
     gaussian_fidelity_one_mode,
     heterodyne_epsilon,
-    local_bounds,
     p_lower_local,
     p_upper_local,
     s_overlap_heterodyne,
@@ -96,7 +94,6 @@ __all__ = [
     "GainPoint",
     "GaussianPovm",
     "GlobalBounds",
-    "LocalBounds",
     "NumericalError",
     "OMEGA",
     "OMEGA2",
@@ -130,7 +127,6 @@ __all__ = [
     "heterodyne_epsilon",
     "info_bounds",
     "lambda_weight",
-    "local_bounds",
     "make_state_one",
     "make_state_zero",
     "make_symmetric_state",

@@ -19,8 +19,7 @@ with one column per orbit of the map (64 at the default 16 nodes), so the
 overlaps take the spectrum from four ``nodes**2 / 4``-sized Gram matrices, at
 O(cutoff**2 nodes**4 / 16) instead of the O(cutoff**6) of a dense
 eigendecomposition; two-mode moments use partial traces and two pairwise
-tensor contractions instead of Kronecker-product operators.  The module needs
-numpy only.
+tensor contractions instead of Kronecker-product operators.
 """
 
 from __future__ import annotations
@@ -161,15 +160,16 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     return rho
 
 
-def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.ndarray:
+def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     """Thermal state displaced to the given quadrature mean ``(x, p)``."""
+    config = FockConfig(cutoff)
     mean = np.asarray(mean, float)
     alpha = (mean[0] + 1j * mean[1]) / 2.0
     if n_bar == 0.0:
         vec = coherent_state(alpha, cutoff)
         rho = np.outer(vec, vec.conj())
     else:
-        base = build_thermal(n_bar, FockConfig(cutoff, convergence_tol=tol))
+        base = build_thermal(n_bar, config)
         # the truncated displacement exp(-iH) from the spectrum of the
         # Hermitian H = i (alpha a^dag - alpha^* a)
         a = destroy(cutoff)
@@ -177,7 +177,7 @@ def displaced_thermal(n_bar: float, mean, cutoff: int, tol: float = 1e-6) -> np.
         op = (basis * np.exp(-1j * phases)) @ basis.conj().T
         rho = op @ base @ op.conj().T
     trace = float(np.trace(rho).real)
-    if trace < 1.0 - tol:
+    if trace < 1.0 - config.convergence_tol:
         raise ConvergenceError(
             f"displaced thermal state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
         )

@@ -265,20 +265,6 @@ def p_lower_local(mu: float) -> float:
 
 
 @dataclass(frozen=True)
-class LocalBounds:
-    """Error-probability bracket for the local detector."""
-
-    p_upper: float
-    p_lower: float
-    s_star: float
-
-
-def local_bounds(mu: float) -> LocalBounds:
-    upper = p_upper_local(mu)
-    return LocalBounds(p_upper=upper.p_upper, p_lower=p_lower_local(mu), s_star=upper.s_star)
-
-
-@dataclass(frozen=True)
 class OptimalityScan:
     """Result of scanning a bound over the POVM squeezing asymmetry."""
 

@@ -154,9 +154,10 @@ def williamson_symmetric(cm: SymmetricTwoModeCM) -> WilliamsonDecomposition:
 def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecomposition:
     """Williamson decomposition of a generic 4x4 covariance matrix.
 
-    The symplectic eigenvalues are the moduli of the eigenvalues of
-    ``OMEGA @ V``; the symplectic matrix is assembled from the real Schur
-    form of ``V^(-1/2) OMEGA V^(-1/2)``.  Serves as an independent
+    The Hermitian ``i V^(-1/2) OMEGA V^(-1/2)`` has eigenvalues ``+-b`` with
+    ``b = 1 / nu``; each positive ``b`` with eigenvector ``x`` gives the real
+    column pair ``sqrt(2) (Im x, Re x)`` of an orthogonal symplectic basis,
+    and ``S = V^(1/2) [pairs] diag(nu^(-1/2))``.  Serves as an independent
     cross-check of :func:`williamson_symmetric`.
     """
     v = cm.matrix() if isinstance(cm, SymmetricTwoModeCM) else np.asarray(cm, float)
@@ -164,40 +165,23 @@ def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecompo
         raise DomainError(f"expected a 4x4 covariance matrix, got shape {v.shape}")
     if not np.allclose(v, v.T, atol=1e-12):
         raise DomainError("covariance matrix must be symmetric")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(v)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    eigvals, eigvecs = _eigh(v)
     if eigvals[0] <= 0.0:
         raise DomainError("covariance matrix must be positive definite")
-
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    antisym = inv_root @ OMEGA @ inv_root
-    from scipy.linalg import schur  # scipy only loads on this cross-check path
+    # ascending order puts the positive pair last, larger b (smaller nu) first
+    b, x = _eigh(1j * (inv_root @ OMEGA @ inv_root))
+    b, x = b[:1:-1], x[:, :1:-1]
+    # (Re x, Im x) would give S OMEGA S^T = -OMEGA
+    pairs = math.sqrt(2.0) * np.stack([x.imag, x.real], axis=2).reshape(4, 4)
+    nus = 1.0 / b
+    s = root @ pairs / np.sqrt(np.repeat(nus, 2))
+    return WilliamsonDecomposition(float(nus[0]), float(nus[1]), s)
 
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        t, q = schur(antisym, output="real")
-    except Exception as exc:  # scipy raises LinAlgError on non-convergence
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-
-    # The Schur form of an antisymmetric matrix is block diagonal with
-    # blocks b * omega2; orient each block so b > 0, then sort by eigenvalue.
-    pairs = []
-    for i in (0, 2):
-        b = t[i, i + 1]
-        cols = q[:, i : i + 2]
-        if b < 0.0:
-            cols = cols[:, ::-1]
-            b = -b
-        if b == 0.0:
-            raise NumericalError("degenerate symplectic structure in Schur form")
-        pairs.append((1.0 / b, cols))
-    pairs.sort(key=lambda item: item[0])
-    nus = [p[0] for p in pairs]
-    basis = np.hstack([p[1] for p in pairs])
-    scale = np.diag(
-        [1.0 / math.sqrt(nus[0])] * 2 + [1.0 / math.sqrt(nus[1])] * 2
-    )
-    s = root @ basis @ scale
-    return WilliamsonDecomposition(nus[0], nus[1], s)
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc

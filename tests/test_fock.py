@@ -295,7 +295,7 @@ def test_displacement_matches_matrix_exponential(n_bar, mean):
     assert np.abs(got - expected).max() < 1e-13
 
 
-def test_oracle_op_loads_no_scipy():
+def test_oracle_and_verify_ops_load_no_scipy():
     code = """
 import sys
 import gaussdisc as gd
@@ -305,6 +305,10 @@ gd.quadrature_moments(gd.build_correlated(1.8, config), 2)
 rho_a = gd.build_thermal(0.4, gd.FockConfig(60))
 rho_b = gd.displaced_thermal(0.2, (0.5, -0.3), 60)
 gd.oracle_fidelity(rho_a, rho_b)
+gd.verify_heterodyne_optimality(2.0, 1.0, 0.5)
+gd.verify_fidelity_optimality(2.0)
+gd.williamson_numeric(gd.make_symmetric_state(2.0, 1.0))
+gd.discrimination_reports([1.5, 2.0])
 print(sorted(m for m in sys.modules if "scipy" in m))
 """
     env = dict(os.environ)

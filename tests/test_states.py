@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdisc import (
     OMEGA,
@@ -113,10 +115,22 @@ def test_williamson_symmetric_negative_correlation():
     np.testing.assert_allclose(dec.s_matrix @ OMEGA @ dec.s_matrix.T, OMEGA, atol=1e-12)
 
 
+def _assert_degenerate_williamson(v, nu):
+    dec = williamson_numeric(v)
+    assert dec.nu_minus == pytest.approx(nu, abs=1e-12)
+    assert dec.nu_plus == pytest.approx(nu, abs=1e-12)
+    np.testing.assert_allclose(dec.reconstruct(), v, atol=1e-10)
+    np.testing.assert_allclose(dec.s_matrix @ OMEGA @ dec.s_matrix.T, OMEGA, atol=1e-12)
+
+
 def test_williamson_numeric_identity():
-    dec = williamson_numeric(np.eye(4))
-    assert dec.nu_minus == pytest.approx(1.0, abs=1e-12)
-    assert dec.nu_plus == pytest.approx(1.0, abs=1e-12)
+    _assert_degenerate_williamson(np.eye(4), 1.0)
+
+
+@pytest.mark.parametrize("mu", [1.5, 3.0, 50.0])
+def test_williamson_numeric_thermal_pair(mu):
+    # nu_minus == nu_plus: every basis of the degenerate eigenspace must do
+    _assert_degenerate_williamson(make_state_zero(mu).matrix(), mu)
 
 
 def test_williamson_numeric_rejects_non_positive_definite():
@@ -138,6 +152,47 @@ def test_williamson_numeric_handles_unequal_correlations():
     np.testing.assert_allclose(dec.s_matrix @ OMEGA @ dec.s_matrix.T, OMEGA, atol=1e-12)
     # symplectic invariants: product = sqrt(det), here det = (mu^2 - g^2)^... = 9
     assert dec.nu_minus * dec.nu_plus == pytest.approx(np.sqrt(np.linalg.det(cm.matrix())))
+
+
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def _direct_sum(a, b):
+    return np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
+
+
+angles = st.floats(0.0, 2.0 * np.pi)
+squeezings = st.floats(0.5, 2.0)
+symplectic_values = st.floats(1.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    nus=st.tuples(symplectic_values, symplectic_values),
+    phases=st.tuples(angles, angles, angles, angles),
+    squeezing=st.tuples(squeezings, squeezings),
+    mixing=angles,
+)
+def test_williamson_numeric_generic_covariance(nus, phases, squeezing, mixing):
+    # phase rotations, single-mode squeezers and a beam splitter are all
+    # symplectic, so V has the symplectic spectrum nus but is not a normal form
+    r1, r2 = squeezing
+    squeeze = _direct_sum(np.diag([np.exp(-r1), np.exp(r1)]), np.diag([np.exp(r2), np.exp(-r2)]))
+    c, s = np.cos(mixing), np.sin(mixing)
+    splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+    symp = (
+        _direct_sum(_rotation(phases[0]), _rotation(phases[1]))
+        @ squeeze
+        @ splitter
+        @ _direct_sum(_rotation(phases[2]), _rotation(phases[3]))
+    )
+    v = symp @ np.diag([nus[0], nus[0], nus[1], nus[1]]) @ symp.T
+    dec = williamson_numeric(v)
+    np.testing.assert_allclose([dec.nu_minus, dec.nu_plus], sorted(nus), rtol=1e-9)
+    assert np.abs(dec.reconstruct() - v).max() <= 1e-9 * np.abs(v).max()
+    np.testing.assert_allclose(dec.s_matrix @ OMEGA @ dec.s_matrix.T, OMEGA, atol=1e-10)
 
 
 def test_decomposition_paths_agree_on_random_grid():
