@@ -8,6 +8,7 @@ how much the global strategy wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -37,7 +38,7 @@ def exponents(mu: float) -> ExponentReport:
 
 def multicopy_p_upper(mu: float, copies: int) -> float:
     """Chernoff-type bound ``Q^M / 2`` on the M-copy global error probability."""
-    if copies < 1 or int(copies) != copies:
+    if not (math.isfinite(copies) and copies >= 1 and int(copies) == copies):
         raise DomainError(f"copy count must be a positive integer, got {copies}")
     return 0.5 * qcb_global(mu).q_value ** int(copies)
 

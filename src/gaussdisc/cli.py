@@ -35,10 +35,6 @@ EXIT_INVARIANT = 5
 ORACLE_MU_LIMIT = 2.5
 ORACLE_TOL = 1e-3
 
-_VERIFY_MU_DEFAULT = (1.5, 2.0, 5.0, 20.0)
-_VERIFY_GFRAC_DEFAULT = (0.4, 1.0)
-_VERIFY_S_DEFAULT = (0.1, 0.3, 0.5, 0.7, 0.9)
-
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
@@ -96,16 +92,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_het(args: argparse.Namespace) -> int:
-    mus = args.mu if args.mu is not None else list(_VERIFY_MU_DEFAULT)
-    gfracs = args.g_frac if args.g_frac is not None else list(_VERIFY_GFRAC_DEFAULT)
-    svals = args.s if args.s is not None else list(_VERIFY_S_DEFAULT)
-    if not mus or not gfracs or not svals:
-        raise DomainError("verify-het needs nonempty mu, g-frac and s ranges")
     failures = 0
-    for mu in mus:
-        for frac in gfracs:
+    for mu in args.mu:
+        for frac in args.g_frac:
             g = frac * (mu - 1.0)
-            for s in svals:
+            for s in args.s:
                 try:
                     scan = verify_heterodyne_optimality(mu, g, s)
                 except ReportFailure as exc:
@@ -124,11 +115,7 @@ def cmd_verify_het(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    mus = args.mu if args.mu is not None else [1.5, 2.0]
-    svals = args.s if args.s is not None else [0.3, 0.5, 0.7]
-    if not mus or not svals:
-        raise DomainError("oracle-check needs nonempty mu and s lists")
-    for mu in mus:
+    for mu in args.mu:
         if not 1.0 <= mu <= ORACLE_MU_LIMIT:
             raise DomainError(
                 f"oracle scope is 1 <= mu <= {ORACLE_MU_LIMIT}, got {mu}"
@@ -136,9 +123,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     config = FockConfig(args.cutoff, args.nodes)
     worst = 0.0
     print(f"{'mu':>6} {'s':>5} {'closed form':>14} {'fock oracle':>14} {'|diff|':>10}")
-    for mu in mus:
-        oracle = s_overlap_converged(mu, svals, config)
-        for s in svals:
+    for mu in args.mu:
+        oracle = s_overlap_converged(mu, args.s, config)
+        for s in args.s:
             closed = s_overlap_global(mu, s)
             diff = abs(closed - oracle[float(s)])
             worst = max(worst, diff)
@@ -179,22 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-het", help="scan POVM asymmetries to confirm heterodyne optimality"
     )
-    verify.add_argument("--mu", type=float, nargs="*", default=None)
+    verify.add_argument("--mu", type=float, nargs="+", default=[1.5, 2.0, 5.0, 20.0])
     verify.add_argument(
         "--g-frac",
         type=float,
-        nargs="*",
-        default=None,
+        nargs="+",
+        default=[0.4, 1.0],
         help="correlations as fractions of mu - 1",
     )
-    verify.add_argument("--s", type=float, nargs="*", default=None)
+    verify.add_argument("--s", type=float, nargs="+", default=[0.1, 0.3, 0.5, 0.7, 0.9])
     verify.set_defaults(func=cmd_verify_het)
 
     oracle = sub.add_parser(
         "oracle-check", help="compare closed-form overlaps with the Fock oracle"
     )
-    oracle.add_argument("--mu", type=float, nargs="*", default=None)
-    oracle.add_argument("--s", type=float, nargs="*", default=None)
+    oracle.add_argument("--mu", type=float, nargs="+", default=[1.5, 2.0])
+    oracle.add_argument("--s", type=float, nargs="+", default=[0.3, 0.5, 0.7])
     oracle.add_argument("--cutoff", type=int, default=20)
     oracle.add_argument("--nodes", type=int, default=16)
     oracle.set_defaults(func=cmd_oracle_check)

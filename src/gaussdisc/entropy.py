@@ -21,9 +21,7 @@ def entropy_h(x: float) -> float:
     a sum of two positive terms, since the two products above cancel for
     large ``x``.
     """
-    if x < 1.0:
-        raise DomainError(f"thermal variance must satisfy x >= 1, got {x}")
-    if x == 1.0:
+    if check_mu(x) == 1.0:
         return 0.0
     b = (x - 1.0) / 2.0
     return (math.log1p(b) + b * math.log1p(1.0 / b)) / math.log(2.0)

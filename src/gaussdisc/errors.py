@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the shared domain checks."""
+"""Exception types shared across the package, and the shared domain and solver checks."""
 
 import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -42,3 +44,11 @@ def check_order(s: float) -> float:
     if not 0.0 < s < 1.0:
         raise DomainError(f"order parameter must satisfy 0 < s < 1, got {s}")
     return s
+
+
+def checked_eigh(matrix: np.ndarray, values_only: bool = False):
+    """``np.linalg.eigh`` (``eigvalsh`` if ``values_only``), failing with NumericalError."""
+    try:
+        return np.linalg.eigvalsh(matrix) if values_only else np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc

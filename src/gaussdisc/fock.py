@@ -4,7 +4,8 @@ Density operators are plain ndarrays over the number basis (dimension
 ``cutoff`` for one mode, ``cutoff**2`` for two).  None of the constructors
 renormalize: the missing trace is the signal that a cutoff is too small, and
 every builder raises :class:`ConvergenceError` when the loss exceeds the
-configured tolerance.
+configured tolerance (a displacement is formed on twice the cutoff and cut
+back, so it loses trace too).
 
 The correlated encoded state is realized as a Gauss-Hermite discretized
 mixture of identical coherent pairs, which certifies its separability by
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, check_mu, check_order
+from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import check_mu, check_order, checked_eigh
 
 #: eigenvalues below this are treated as exact zeros of the finite-rank
 #: construction (fractional powers would otherwise amplify solver noise)
@@ -55,8 +57,8 @@ class FockConfig:
             raise DomainError(
                 f"need at least 8 modulation nodes, got {self.modulation_nodes}"
             )
-        if self.convergence_tol <= 0.0:
-            raise DomainError("convergence tolerance must be positive")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
+            raise DomainError("convergence tolerance must be finite and positive")
 
 
 def destroy(cutoff: int) -> np.ndarray:
@@ -78,21 +80,19 @@ def coherent_state(alpha: complex | np.ndarray, cutoff: int) -> np.ndarray:
     return amps
 
 
+def _check_trace(trace: float, what: str, config: FockConfig) -> None:
+    """Raise ConvergenceError if ``what`` lost more trace than the tolerance (or is NaN)."""
+    if not trace >= 1.0 - config.convergence_tol:
+        raise ConvergenceError(f"{what} lost {1.0 - trace:.2e} of trace at cutoff {config.cutoff}")
+
+
 def build_thermal(n_bar: float, config: FockConfig) -> np.ndarray:
     """Truncated thermal state; diagonal, deliberately not renormalized."""
-    if n_bar < 0.0:
-        raise DomainError(f"mean photon number must be nonnegative, got {n_bar}")
-    if n_bar == 0.0:
-        diag = np.zeros(config.cutoff)
-        diag[0] = 1.0
-    else:
-        ratio = n_bar / (n_bar + 1.0)
-        diag = (1.0 / (n_bar + 1.0)) * ratio ** np.arange(config.cutoff)
-    trace = float(diag.sum())
-    if trace < 1.0 - config.convergence_tol:
-        raise ConvergenceError(
-            f"thermal state lost {1.0 - trace:.2e} of trace at cutoff {config.cutoff}"
-        )
+    if not (math.isfinite(n_bar) and n_bar >= 0.0):
+        raise DomainError(f"mean photon number must be finite and nonnegative, got {n_bar}")
+    # at n_bar = 0 this is exactly the vacuum: 0.0 ** 0 == 1.0
+    diag = (1.0 / (n_bar + 1.0)) * (n_bar / (n_bar + 1.0)) ** np.arange(config.cutoff)
+    _check_trace(float(diag.sum()), "thermal state", config)
     return np.diag(diag)
 
 
@@ -132,11 +132,7 @@ def _correlated_blocks(mu: float, config: FockConfig) -> list[tuple[np.ndarray, 
     single = coherent_state(alphas, cutoff)
     pairs = (single[:, None, :] * single[None, :, :]).reshape(cutoff * cutoff, -1)
     pairs *= np.sqrt(scale)
-    trace = float(np.vdot(pairs, pairs).real)
-    if trace < 1.0 - config.convergence_tol:
-        raise ConvergenceError(
-            f"correlated state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
-        )
+    _check_trace(float(np.vdot(pairs, pairs).real), "correlated state", config)
     n = np.arange(cutoff)
     block = ((n[:, None] + n) % 4).ravel()
     return [(rows, pairs[rows]) for rows in (np.flatnonzero(block == k) for k in range(4))]
@@ -161,34 +157,29 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
 
 
 def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
-    """Thermal state displaced to the given quadrature mean ``(x, p)``."""
+    """Thermal state displaced to the given quadrature mean ``(x, p)``.
+
+    The displacement ``exp(-iH)``, ``H = i (alpha a^dag - alpha^* a)``, comes from
+    the spectrum of ``H`` on twice the cutoff, cut back: a state that spills past
+    the cutoff then shows as lost trace instead of wrapping around.
+    """
     config = FockConfig(cutoff)
     mean = np.asarray(mean, float)
+    if not np.isfinite(mean).all():
+        raise DomainError(f"quadrature mean must be finite, got {mean}")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
-    if n_bar == 0.0:
-        vec = coherent_state(alpha, cutoff)
-        rho = np.outer(vec, vec.conj())
-    else:
-        base = build_thermal(n_bar, config)
-        # the truncated displacement exp(-iH) from the spectrum of the
-        # Hermitian H = i (alpha a^dag - alpha^* a)
-        a = destroy(cutoff)
-        phases, basis = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
-        op = (basis * np.exp(-1j * phases)) @ basis.conj().T
-        rho = op @ base @ op.conj().T
-    trace = float(np.trace(rho).real)
-    if trace < 1.0 - config.convergence_tol:
-        raise ConvergenceError(
-            f"displaced thermal state lost {1.0 - trace:.2e} of trace at cutoff {cutoff}"
-        )
+    base = build_thermal(n_bar, config)
+    a = destroy(2 * cutoff)
+    phases, basis = checked_eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    kept = basis[:cutoff]
+    op = (kept * np.exp(-1j * phases)) @ kept.conj().T
+    rho = op @ base @ op.conj().T
+    _check_trace(float(np.trace(rho).real), "displaced thermal state", config)
     return rho
 
 
 def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        eigvals, eigvecs = np.linalg.eigh(rho)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    eigvals, eigvecs = checked_eigh(rho)
     if eigvals.min() < EIG_FLOOR:
         raise NumericalError(
             f"operator has eigenvalue {eigvals.min():.3e} below {EIG_FLOOR:g}"
@@ -215,11 +206,7 @@ def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
 def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2``."""
     root = _fractional_power(rho_a, 0.5)
-    inner = root @ rho_b @ root
-    try:
-        eigvals = np.linalg.eigvalsh(inner)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    eigvals = checked_eigh(root @ rho_b @ root, values_only=True)
     return float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))) ** 2)
 
 
@@ -279,21 +266,18 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     and the cross-mode block from two pairwise contractions of ``rho`` as a
     ``cutoff**4`` tensor, one operator at a time, at O(dim**2).
     """
-    dim = rho.shape[0]
     if n_modes == 1:
-        cutoff = dim
+        reduced = [rho]
     elif n_modes == 2:
-        cutoff = round(math.isqrt(dim))
-        if cutoff * cutoff != dim:
-            raise DomainError(f"dimension {dim} is not a square")
+        reduced = [partial_trace(rho, 0), partial_trace(rho, 1)]
     else:
         raise DomainError("only one- and two-mode states are supported")
+    cutoff = reduced[0].shape[0]
     a = destroy(cutoff)
     ops = [a + a.T, -1j * (a - a.T)]
     if n_modes == 1:
         return _one_mode_moments(rho, ops)
-    mean_0, cm_0 = _one_mode_moments(partial_trace(rho, 0), ops)
-    mean_1, cm_1 = _one_mode_moments(partial_trace(rho, 1), ops)
+    (mean_0, cm_0), (mean_1, cm_1) = (_one_mode_moments(r, ops) for r in reduced)
     # Tr(rho (A x B)) for A, B in (x, p); operators on different modes commute
     joint = np.einsum(
         "ijkl,aki,blj->ab", rho.reshape((cutoff,) * 4), ops, ops, optimize=True
@@ -303,19 +287,16 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
 
 
 def _one_mode_moments(rho: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.array([float(np.trace(rho @ op).real) for op in ops])
-    cm = np.empty((len(ops), len(ops)))
-    for i, op_i in enumerate(ops):
-        for j, op_j in enumerate(ops):
-            sym = 0.5 * np.trace(rho @ (op_i @ op_j + op_j @ op_i)).real
-            cm[i, j] = sym - mean[i] * mean[j]
-    return mean, cm
+    # Tr(rho A_i A_j) for every pair; the covariance is its symmetric part
+    pairs = np.einsum("ki,aij,bjk->ab", rho, ops, ops, optimize=True).real
+    mean = np.einsum("ki,aik->a", rho, ops).real
+    return mean, 0.5 * (pairs + pairs.T) - np.outer(mean, mean)
 
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduced state of mode ``keep`` (0 or 1) of a two-mode operator."""
     dim = rho.shape[0]
-    cutoff = round(math.isqrt(dim))
+    cutoff = math.isqrt(dim)
     if cutoff * cutoff != dim:
         raise DomainError(f"dimension {dim} is not a square")
     tensor = rho.reshape(cutoff, cutoff, cutoff, cutoff)

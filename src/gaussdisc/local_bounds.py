@@ -28,11 +28,6 @@ LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)  # includes 1.0 exactly at index 4
 _UNIT_INDEX = 40
 _DERIVATIVE_TOL = 1e-6
 _DERIVATIVE_STEP = 1e-4  # of the central difference at lambda = 1
-#: a scan evaluates the grid, then the two difference points, as one stack of
-#: seed covariances ``diag(lam, 1/lam)``, exactly ``GaussianPovm(1, 0, lam).covariance()``
-_SCAN_LAMBDAS = np.append(LAMBDA_SCAN_GRID, [1.0 + _DERIVATIVE_STEP, 1.0 - _DERIVATIVE_STEP])
-_SCAN_SEEDS = np.zeros((_SCAN_LAMBDAS.size, 2, 2))
-_SCAN_SEEDS[:, 0, 0], _SCAN_SEEDS[:, 1, 1] = _SCAN_LAMBDAS, 1.0 / _SCAN_LAMBDAS
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,10 @@ class GaussianPovm:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eta < 1.0:
-            raise DomainError(f"noise factor must satisfy eta >= 1, got {self.eta}")
-        if self.lam <= 0.0:
-            raise DomainError(f"squeezing asymmetry must be positive, got {self.lam}")
+        if not (math.isfinite(self.eta) and self.eta >= 1.0):
+            raise DomainError(f"noise factor must be finite with eta >= 1, got {self.eta}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise DomainError(f"squeezing asymmetry must be finite and positive, got {self.lam}")
         if not 0.0 <= self.theta < 2.0 * math.pi:
             raise DomainError(f"angle must lie in [0, 2*pi), got {self.theta}")
 
@@ -73,6 +68,11 @@ class GaussianPovm:
         rot = np.array([[c, -s], [s, c]])
         return self.eta * rot @ np.diag([self.lam, 1.0 / self.lam]) @ rot.T
 
+
+#: a scan evaluates the grid, then the two difference points, as one stack of
+#: rank-1 seed covariances
+_SCAN_LAMBDAS = np.append(LAMBDA_SCAN_GRID, [1.0 + _DERIVATIVE_STEP, 1.0 - _DERIVATIVE_STEP])
+_SCAN_SEEDS = np.array([GaussianPovm(1.0, 0.0, lam).covariance() for lam in _SCAN_LAMBDAS])
 
 @dataclass(frozen=True)
 class ConditionalPreparation:

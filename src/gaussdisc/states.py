@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_correlation, check_mu
+from .errors import DomainError, check_correlation, check_mu, checked_eigh
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block(
@@ -98,8 +98,10 @@ def check_bona_fide(cm: SymmetricTwoModeCM) -> tuple[bool, list[str]]:
 
     Returns ``(ok, violations)`` where ``violations`` lists every clause that
     fails: ``mu >= 1``, ``|g| < mu``, ``|gp| < mu`` and
-    ``mu^2 + g*gp - 1 >= mu*|g + gp|``.
+    ``mu^2 + g*gp - 1 >= mu*|g + gp|``.  Non-finite entries raise DomainError.
     """
+    if not all(map(math.isfinite, (cm.mu, cm.g, cm.gp))):
+        raise DomainError(f"covariance entries must be finite, got {cm}")
     violations = []
     if cm.mu < 1.0:
         violations.append(f"mu >= 1 violated (mu = {cm.mu})")
@@ -165,23 +167,16 @@ def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecompo
         raise DomainError(f"expected a 4x4 covariance matrix, got shape {v.shape}")
     if not np.allclose(v, v.T, atol=1e-12):
         raise DomainError("covariance matrix must be symmetric")
-    eigvals, eigvecs = _eigh(v)
+    eigvals, eigvecs = checked_eigh(v)
     if eigvals[0] <= 0.0:
         raise DomainError("covariance matrix must be positive definite")
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     # ascending order puts the positive pair last, larger b (smaller nu) first
-    b, x = _eigh(1j * (inv_root @ OMEGA @ inv_root))
+    b, x = checked_eigh(1j * (inv_root @ OMEGA @ inv_root))
     b, x = b[:1:-1], x[:, :1:-1]
     # (Re x, Im x) would give S OMEGA S^T = -OMEGA
     pairs = math.sqrt(2.0) * np.stack([x.imag, x.real], axis=2).reshape(4, 4)
     nus = 1.0 / b
     s = root @ pairs / np.sqrt(np.repeat(nus, 2))
     return WilliamsonDecomposition(float(nus[0]), float(nus[1]), s)
-
-
-def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc

@@ -27,6 +27,7 @@ from gaussdisc import (
     s_overlap_curve,
     s_overlap_global,
 )
+import gaussdisc as gd
 from gaussdisc import fock
 from gaussdisc.fock import EIG_CLAMP, destroy
 
@@ -288,11 +289,47 @@ def test_displacement_matches_matrix_exponential(n_bar, mean):
 
     cutoff = 60
     alpha = (mean[0] + 1j * mean[1]) / 2.0
-    a = destroy(cutoff)
-    op = expm(alpha * a.T - np.conj(alpha) * a)
+    # a generator truncated at the cutoff itself wraps the displaced state
+    # around; one four times larger is exact on the kept block to rounding
+    a = destroy(4 * cutoff)
+    op = expm(alpha * a.T - np.conj(alpha) * a)[:cutoff, :cutoff]
     expected = op @ build_thermal(n_bar, FockConfig(cutoff)) @ op.conj().T
     got = displaced_thermal(n_bar, mean, cutoff)
     assert np.abs(got - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+def test_displacement_past_the_cutoff_loses_trace(n_bar):
+    # mean photon number 36 at cutoff 20: the displacement must not wrap around
+    with pytest.raises(ConvergenceError):
+        displaced_thermal(n_bar, (12.0, 0.0), 20)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_thermal(math.nan, FockConfig(10)),
+        lambda: build_thermal(math.inf, FockConfig(10)),
+        lambda: FockConfig(10, convergence_tol=math.nan),
+        lambda: FockConfig(10, convergence_tol=math.inf),
+        lambda: displaced_thermal(0.2, (math.nan, 0.0), 20),
+        lambda: displaced_thermal(0.0, (0.0, math.inf), 20),
+        lambda: gd.GaussianPovm(eta=math.nan),
+        lambda: gd.GaussianPovm(eta=math.inf),
+        lambda: gd.GaussianPovm(lam=math.nan),
+        lambda: gd.GaussianPovm(lam=math.inf),
+        lambda: gd.averaged_fidelity_bound(2.0, math.nan),
+        lambda: gd.entropy_h(math.nan),
+        lambda: gd.entropy_h(math.inf),
+        lambda: gd.multicopy_p_upper(2.0, math.nan),
+        lambda: gd.multicopy_p_upper(2.0, math.inf),
+        lambda: gd.check_bona_fide(gd.SymmetricTwoModeCM(math.nan, 0.0, 0.0)),
+        lambda: gd.check_bona_fide(gd.SymmetricTwoModeCM(2.0, 0.0, math.inf)),
+    ],
+)
+def test_non_finite_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_oracle_and_verify_ops_load_no_scipy():

@@ -196,6 +196,8 @@ def test_cli_verify_het_single_point():
 def test_cli_verify_het_empty_range():
     proc = run_cli("verify-het", "--mu")
     assert proc.returncode == 2
+    proc = run_cli("oracle-check", "--s")
+    assert proc.returncode == 2
 
 
 def test_cli_oracle_check_trivial_point():
