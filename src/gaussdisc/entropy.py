@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NumericalError, check_mu
 
 _BISECTION_HI = 1e12  # delta_d is numerically indistinguishable from 1 here
+_BISECTION_TOL = 1e-10  # on delta_d
 
 
 def entropy_h(x: float) -> float:
@@ -60,11 +61,12 @@ def delta_d(mu: float) -> float:
     )
 
 
-def mu_from_delta_d(target: float, tol: float = 1e-10) -> float:
+def mu_from_delta_d(target: float) -> float:
     """Invert :func:`delta_d` by bisection on ``mu in [1, 1e12]``.
 
     Valid for ``0 <= target < 1``; relies on the monotonicity of the discord
-    in ``mu``.
+    in ``mu``.  Stops once the discord is within 1e-10 of the target or the
+    bracket is a few ulps wide.
     """
     if not 0.0 <= target < 1.0:
         raise DomainError(f"discord target must lie in [0, 1), got {target}")
@@ -76,7 +78,7 @@ def mu_from_delta_d(target: float, tol: float = 1e-10) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = delta_d(mid)
-        if abs(val - target) <= tol:
+        if abs(val - target) <= _BISECTION_TOL:
             return mid
         if val < target:
             lo = mid

@@ -26,6 +26,7 @@ tensor contractions instead of Kronecker-product operators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ class FockConfig:
     convergence_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("cutoff", "modulation_nodes"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.cutoff < 4:
             raise DomainError(f"cutoff must be at least 4, got {self.cutoff}")
         if self.modulation_nodes < 8:
@@ -73,6 +80,8 @@ def coherent_state(alpha: complex | np.ndarray, cutoff: int) -> np.ndarray:
     shape ``(cutoff,) + alpha.shape``.
     """
     alpha = np.asarray(alpha)
+    if not np.isfinite(alpha).all():
+        raise DomainError(f"coherent amplitude must be finite, got {alpha}")
     amps = np.empty((cutoff,) + alpha.shape, complex)
     amps[0] = np.exp(-np.abs(alpha) ** 2 / 2.0)
     steps = np.sqrt(np.arange(1.0, cutoff)).reshape((-1,) + (1,) * alpha.ndim)
@@ -159,21 +168,25 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
 def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     """Thermal state displaced to the given quadrature mean ``(x, p)``.
 
-    The displacement ``exp(-iH)``, ``H = i (alpha a^dag - alpha^* a)``, comes from
-    the spectrum of ``H`` on twice the cutoff, cut back: a state that spills past
-    the cutoff then shows as lost trace instead of wrapping around.
+    The displacement is ``exp(-iH)`` with ``H = i (alpha a^dag - alpha^* a)
+    = Q (|alpha| (a + a^dag)) Q^H`` for the diagonal unitary
+    ``Q = diag((i e^(i arg alpha))**n)``, so it comes from the spectrum of the
+    real ``a + a^dag`` on twice the cutoff, cut back: a state that spills past
+    the cutoff then shows as lost trace instead of wrapping around.  ``Q``
+    commutes with the diagonal thermal state, so it only phases the result.
     """
     config = FockConfig(cutoff)
     mean = np.asarray(mean, float)
     if not np.isfinite(mean).all():
         raise DomainError(f"quadrature mean must be finite, got {mean}")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
-    base = build_thermal(n_bar, config)
+    thermal = np.diag(build_thermal(n_bar, config))
     a = destroy(2 * cutoff)
-    phases, basis = checked_eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    positions, basis = checked_eigh(a + a.T)
     kept = basis[:cutoff]
-    op = (kept * np.exp(-1j * phases)) @ kept.conj().T
-    rho = op @ base @ op.conj().T
+    op = (kept * np.exp(-1j * abs(alpha) * positions)) @ kept.T
+    phases = np.exp(1j * (np.angle(alpha) + np.pi / 2.0) * np.arange(cutoff))
+    rho = np.outer(phases, phases.conj()) * ((op * thermal) @ op.conj().T)
     _check_trace(float(np.trace(rho).real), "displaced thermal state", config)
     return rho
 

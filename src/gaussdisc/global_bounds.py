@@ -17,18 +17,21 @@ from .errors import DomainError, check_mu, check_order
 from .states import WilliamsonDecomposition
 
 # The overlap weights degenerate at s in {0, 1} whenever a symplectic
-# eigenvalue equals 1 (exactly the case here), so the minimization runs on a
-# slightly clipped interval.  log Q_s is convex in s, so Q_s has a single
-# minimum there.  For the global pair that minimum sits at the clip
-# s = 1 - 1e-6 for every mu > 1: Q_s still decreases there.
+# eigenvalue equals 1 (exactly the case here), so both detectors' bounds read
+# Q_s on a slightly clipped interval.  For the global pair the minimum over
+# it sits at the clip s = 1 - 1e-6 for every mu.  Write thermal(v) for the
+# single-mode thermal state of quadrature variance v.  The correlated state
+# has symplectic spectrum {1, 2 mu - 1} and a passive diagonalizer: a
+# balanced beam splitter takes it to vacuum x thermal(2 mu - 1) and leaves
+# the thermal pair unchanged, so
+# Q_s = p0^s T_s with p0 = 2 / (mu + 1) and T_s = sum_n a_n^s b_n^(1-s),
+# where a and b are the photon-number laws of thermal(mu) and
+# thermal(2 mu - 1).  ln T_s is a log-sum-exp of lines in s, so ln Q_s is
+# convex; with x = (mu - 1) / 2, as s -> 1
+#     d ln Q_s / ds -> ln((1 + 2x) / (1 + x)^2) + x ln((1 + 2x) / (2 + 2x)),
+# and both terms are negative for every x > 0.  So Q_s falls strictly on
+# (0, 1) for mu > 1, and at mu = 1 it is identically 1.
 S_INTERVAL = (1e-6, 1.0 - 1e-6)
-#: the bracketed search over s evaluates this many evenly spaced points per
-#: step, both ends of the bracket included, and keeps the two intervals next
-#: to the best one: each step leaves at most 2/15 of the bracket, so 12
-#: steps take it from the whole interval to below 1e-10
-SEARCH_POINTS = 16
-SEARCH_STEPS = 12
-_SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
 
 
 def g_weight(s: float, x: float) -> float:
@@ -103,33 +106,6 @@ def s_overlap_global(mu: float, s: float) -> float:
     return float(overlap_global(np.float64(check_mu(mu)), check_order(s)))
 
 
-def minimum_over_s(overlap, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``overlap(mu, s)`` over ``S_INTERVAL`` for every ``mu`` at once.
-
-    ``overlap`` is elementwise and log-convex in ``s``, so the minimum over
-    the points of one step lies within one grid interval of the minimizer,
-    and the next step searches the two intervals around it.  The first step
-    evaluates both clip points exactly, because the minimum can sit at
-    either.  Each row takes the same steps, so an element's result does not
-    depend on the rest of the array.  Returns ``(s_star, minimum)``.
-    """
-    index = np.arange(mu.shape[0])
-    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
-    s_star, q_min = lo, np.full_like(mu, np.inf)
-    for _ in range(SEARCH_STEPS):
-        s = lo[:, None] + (hi - lo)[:, None] * _SEARCH_GRID
-        s[:, -1] = hi
-        q = overlap(mu[:, None], s)
-        best = np.argmin(q, axis=1)
-        q_best = q[index, best]
-        better = q_best < q_min
-        s_star = np.where(better, s[index, best], s_star)
-        q_min = np.where(better, q_best, q_min)
-        lo = s[index, np.maximum(best - 1, 0)]
-        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
-    return s_star, q_min
-
-
 def fidelity_error(f):
     """``(1 - sqrt(1 - F)) / 2``, the error bound from a fidelity ``F``, elementwise.
 
@@ -148,11 +124,6 @@ class SOverlapResult:
     q_value: float
     p_upper: float
 
-    @classmethod
-    def first(cls, s_star: np.ndarray, q: np.ndarray) -> "SOverlapResult":
-        """The result for the first element of a batched minimization."""
-        return cls(float(s_star[0]), float(q[0]), float(q[0]) / 2.0)
-
 
 @dataclass(frozen=True)
 class GlobalBounds:
@@ -164,8 +135,15 @@ class GlobalBounds:
 
 
 def qcb_global(mu: float) -> SOverlapResult:
-    """Chernoff-type upper bound ``P+ = min_s Q_s / 2`` for the global detector."""
-    return SOverlapResult.first(*minimum_over_s(overlap_global, np.array([check_mu(mu)])))
+    """Chernoff-type upper bound ``P+ = min_s Q_s / 2`` for the global detector.
+
+    ``Q_s`` falls on the whole interval (see ``S_INTERVAL``), so the minimum
+    is the overlap at the clip and ``s_star`` is ``S_INTERVAL[1]`` for every
+    ``mu``.
+    """
+    s_star = S_INTERVAL[1]
+    q = float(overlap_global(np.float64(check_mu(mu)), s_star))
+    return SOverlapResult(s_star, q, q / 2.0)
 
 
 def bhattacharyya_global(mu: float) -> GlobalBounds:

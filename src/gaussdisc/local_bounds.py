@@ -17,10 +17,10 @@ import numpy as np
 from .errors import DomainError, NumericalError, ReportFailure
 from .errors import check_correlation, check_mu, check_order
 from .global_bounds import (
+    S_INTERVAL,
     SOverlapResult,
     _check_weight_args,
     fidelity_error,
-    minimum_over_s,
     overlap_weights,
 )
 
@@ -28,6 +28,13 @@ LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)  # includes 1.0 exactly at index 4
 _UNIT_INDEX = 40
 _DERIVATIVE_TOL = 1e-6
 _DERIVATIVE_STEP = 1e-4  # of the central difference at lambda = 1
+#: the bracketed search over s evaluates this many evenly spaced points per
+#: step, both ends of the bracket included, and keeps the two intervals next
+#: to the best one: each step leaves at most 2/15 of the bracket, so 12
+#: steps take it from the whole interval to below 1e-10
+SEARCH_POINTS = 16
+SEARCH_STEPS = 12
+_SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,37 @@ def s_overlap_heterodyne(mu: float, s: float) -> float:
     return float(overlap_heterodyne(np.float64(check_mu(mu)), check_order(s)))
 
 
+def minimum_over_s(overlap, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``overlap(mu, s)`` over ``S_INTERVAL`` for every ``mu`` at once.
+
+    ``overlap`` is elementwise and log-convex in ``s``, so the minimum over
+    the points of one step lies within one grid interval of the minimizer,
+    and the next step searches the two intervals around it.  The first step
+    evaluates both clip points exactly.  Each row takes the same steps, so an
+    element's result does not depend on the rest of the array.  Returns
+    ``(s_star, minimum)``.
+    """
+    index = np.arange(mu.shape[0])
+    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
+    s_star, q_min = lo, np.full_like(mu, np.inf)
+    for _ in range(SEARCH_STEPS):
+        s = lo[:, None] + (hi - lo)[:, None] * _SEARCH_GRID
+        s[:, -1] = hi
+        q = overlap(mu[:, None], s)
+        best = np.argmin(q, axis=1)
+        q_best = q[index, best]
+        better = q_best < q_min
+        s_star = np.where(better, s[index, best], s_star)
+        q_min = np.where(better, q_best, q_min)
+        lo = s[index, np.maximum(best - 1, 0)]
+        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
+    return s_star, q_min
+
+
 def p_upper_local(mu: float) -> SOverlapResult:
     """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``."""
-    return SOverlapResult.first(*minimum_over_s(overlap_heterodyne, np.array([check_mu(mu)])))
+    s_star, q = minimum_over_s(overlap_heterodyne, np.array([check_mu(mu)]))
+    return SOverlapResult(float(s_star[0]), float(q[0]), float(q[0]) / 2.0)
 
 
 def fidelity_heterodyne(mu: float, a) -> float:
@@ -175,6 +210,8 @@ def fidelity_heterodyne(mu: float, a) -> float:
     ``eps / sqrt(2)`` gives the physical mean).
     """
     a = np.asarray(a, float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"displacement label must be finite, got {a}")
     a2 = float(a @ a)
     eps = heterodyne_epsilon(mu)
     den = float(_fidelity_denominator(mu, eps))

@@ -13,9 +13,11 @@ import numpy as np
 
 from .entropy import correlation_budget, info_bounds
 from .errors import check_mu
-from .global_bounds import fidelity_error, minimum_over_s, overlap_global
-from .local_bounds import lower_bound_local, overlap_heterodyne
+from .global_bounds import S_INTERVAL, fidelity_error, overlap_global
+from .local_bounds import lower_bound_local, minimum_over_s, overlap_heterodyne
 
+#: absolute slack of the cross-bound ordering checks
+_SLACK = 1e-12
 #: CSV column contract: exactly these names, in this order.
 REPORT_FIELDS = (
     "mu",
@@ -73,15 +75,18 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
 
     Returns the ``REPORT_FIELDS`` columns other than the information
     brackets (see :func:`discrimination_reports`), plus the exponent
-    ``ratio``.  Both minimizations over s and the radial quadrature run on
-    the whole grid at once, and every element is computed independently of
-    the others, so a point's values do not depend on the grid around it.
+    ``ratio``.  The global Chernoff overlap is read at the clip
+    ``S_INTERVAL[1]``, where its minimum over s sits (see
+    :mod:`gaussdisc.global_bounds`); the local minimization over s and the
+    radial quadrature run on the whole grid at once.  Every element is
+    computed independently of the others, so a point's values do not depend
+    on the grid around it.
     ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``, where both exponents
     vanish.
     """
     mu = np.array([check_mu(float(value)) for value in mu_grid], dtype=float)
     budgets = [correlation_budget(value) for value in mu.tolist()]
-    q_global = minimum_over_s(overlap_global, mu)[1]
+    q_global = overlap_global(mu, S_INTERVAL[1])
     q_local = minimum_over_s(overlap_heterodyne, mu)[1]
     spread = mu > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -133,9 +138,12 @@ def discrimination_report(mu: float) -> DiscriminationReport:
     return discrimination_reports([mu])[0]
 
 
-def report_violations(report: DiscriminationReport, slack: float = 1e-12) -> list[str]:
-    """Cross-bound ordering checks; an empty list means the row is consistent."""
-    r = report
+def report_violations(report: DiscriminationReport) -> list[str]:
+    """Cross-bound ordering checks, each with an absolute slack of 1e-12.
+
+    An empty list means the row is consistent.
+    """
+    r, slack = report, _SLACK
     checks = [
         (r.p_minus_global <= r.p_plus_global + slack, "p_minus_global <= p_plus_global"),
         (r.p_plus_global <= 0.5 + slack, "p_plus_global <= 1/2"),

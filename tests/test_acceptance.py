@@ -86,7 +86,7 @@ def test_criterion_4_bound_orderings_on_sweep(sweep_reports):
     slack = 1e-12
     bad = []
     for report in sweep_reports:
-        violations = gd.report_violations(report, slack=slack)
+        violations = gd.report_violations(report)
         ok = (
             report.p_minus_global <= report.p_plus_global + slack
             and report.p_plus_global <= 0.5 + slack

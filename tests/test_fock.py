@@ -314,6 +314,12 @@ def test_displacement_past_the_cutoff_loses_trace(n_bar):
         lambda: FockConfig(10, convergence_tol=math.inf),
         lambda: displaced_thermal(0.2, (math.nan, 0.0), 20),
         lambda: displaced_thermal(0.0, (0.0, math.inf), 20),
+        lambda: fock.coherent_state(math.nan, 4),
+        lambda: FockConfig(math.nan),
+        lambda: FockConfig(10.5),
+        lambda: FockConfig(10, modulation_nodes=math.inf),
+        lambda: gd.fidelity_heterodyne(2.0, (math.nan, 0.0)),
+        lambda: gd.fidelity_heterodyne(2.0, (math.inf, 0.0)),
         lambda: gd.GaussianPovm(eta=math.nan),
         lambda: gd.GaussianPovm(eta=math.inf),
         lambda: gd.GaussianPovm(lam=math.nan),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdisc import (
     DomainError,
@@ -15,7 +17,8 @@ from gaussdisc import (
     s_overlap_two_mode,
     williamson_symmetric,
 )
-from gaussdisc.global_bounds import overlap_weights
+from gaussdisc.global_bounds import S_INTERVAL, overlap_global, overlap_weights
+from gaussdisc.local_bounds import minimum_over_s
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -122,6 +125,48 @@ def test_log_overlap_is_convex_in_s():
         logs = np.array([math.log(s_overlap_global(mu, s)) for s in grid])
         second = logs[2:] - 2.0 * logs[1:-1] + logs[:-2]
         assert second.min() >= -1e-8
+
+
+def _slope_at_one(x):
+    """``d ln Q_s / ds`` as s -> 1 at ``x = (mu - 1) / 2``, in log1p form:
+    ``ln((1+2x)/(1+x)^2) + x ln((1+2x)/(2+2x))``."""
+    return np.log1p(-((x / (1.0 + x)) ** 2)) + x * np.log1p(-0.5 / (1.0 + x))
+
+
+def test_log_overlap_slope_at_one_is_negative():
+    # with convexity this makes Q_s fall on the whole interval, so the global
+    # minimum sits at the clip
+    x = np.logspace(math.log10(5e-13), math.log10(5e14), 400)
+    assert (_slope_at_one(x) < 0.0).all()
+
+
+@pytest.mark.parametrize("mu", [1.01, 1.5, 2.0, 10.0, 1000.0, 1e6])
+def test_log_overlap_slope_matches_finite_difference(mu):
+    clip, h = S_INTERVAL[1], 1e-6
+    slope = float(_slope_at_one((mu - 1.0) / 2.0))
+    logs = [math.log(s_overlap_global(mu, s)) for s in (clip - h, clip)]
+    difference = (logs[1] - logs[0]) / h
+    assert difference == pytest.approx(slope, rel=1e-5)
+    # Q_s -> 2 / (mu + 1) as s -> 1, one slope step of 1e-6 below the clip
+    assert s_overlap_global(mu, clip) == pytest.approx(
+        2.0 / (mu + 1.0) * (1.0 - (1.0 - clip) * slope), rel=1e-10
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu=st.floats(min_value=1.0 + 1e-12, max_value=1e15))
+def test_search_never_beats_the_clip(mu):
+    # the bracketed search over s stays as the reference for the global bound
+    q_search = minimum_over_s(overlap_global, np.array([mu]))[1][0]
+    q_clip = overlap_global(np.float64(mu), S_INTERVAL[1])
+    assert q_search >= q_clip * (1.0 - 16.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.001, 2.0, 1e12])
+def test_qcb_sits_at_the_clip(mu):
+    result = qcb_global(mu)
+    assert result.s_star == S_INTERVAL[1]
+    assert result.q_value == s_overlap_global(mu, S_INTERVAL[1])
 
 
 def test_qcb_identical_states():
