@@ -46,6 +46,14 @@ def check_order(s: float) -> float:
     return s
 
 
+def check_displacement(value, what: str) -> np.ndarray:
+    """Return ``value`` as a float array if it is a finite pair ``(x, p)``; else DomainError."""
+    vector = np.asarray(value, float)
+    if vector.shape != (2,) or not np.isfinite(vector).all():
+        raise DomainError(f"{what} must be a finite pair (x, p), got {value!r}")
+    return vector
+
+
 def checked_eigh(matrix: np.ndarray, values_only: bool = False):
     """``np.linalg.eigh`` (``eigvalsh`` if ``values_only``), failing with NumericalError."""
     try:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .errors import check_mu, check_order, checked_eigh
+from .errors import check_displacement, check_mu, check_order, checked_eigh
 
 #: eigenvalues below this are treated as exact zeros of the finite-rank
 #: construction (fractional powers would otherwise amplify solver noise)
@@ -53,11 +53,7 @@ class FockConfig:
 
     def __post_init__(self) -> None:
         for name in ("cutoff", "modulation_nodes"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            _check_integer(name, getattr(self, name))
         if self.cutoff < 4:
             raise DomainError(f"cutoff must be at least 4, got {self.cutoff}")
         if self.modulation_nodes < 8:
@@ -68,8 +64,16 @@ class FockConfig:
             raise DomainError("convergence tolerance must be finite and positive")
 
 
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def destroy(cutoff: int) -> np.ndarray:
     """Annihilation operator on the truncated number basis."""
+    _check_integer("cutoff", cutoff)
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
@@ -79,6 +83,7 @@ def coherent_state(alpha: complex | np.ndarray, cutoff: int) -> np.ndarray:
     For an array of amplitudes the result has one column per amplitude,
     shape ``(cutoff,) + alpha.shape``.
     """
+    _check_integer("cutoff", cutoff)
     alpha = np.asarray(alpha)
     if not np.isfinite(alpha).all():
         raise DomainError(f"coherent amplitude must be finite, got {alpha}")
@@ -176,9 +181,7 @@ def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     commutes with the diagonal thermal state, so it only phases the result.
     """
     config = FockConfig(cutoff)
-    mean = np.asarray(mean, float)
-    if not np.isfinite(mean).all():
-        raise DomainError(f"quadrature mean must be finite, got {mean}")
+    mean = check_displacement(mean, "quadrature mean")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
     thermal = np.diag(build_thermal(n_bar, config))
     a = destroy(2 * cutoff)

@@ -338,6 +338,25 @@ def test_non_finite_input_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a displacement is a pair (x, p)
+        lambda: gd.fidelity_heterodyne(2.0, (1.0, 2.0, 3.0)),
+        lambda: gd.fidelity_heterodyne(2.0, 1.0),
+        lambda: gd.fidelity_heterodyne(2.0, ((1.0, 0.0),)),
+        lambda: displaced_thermal(0.2, (1.0, 0.0, 5.0), 20),
+        lambda: displaced_thermal(0.2, 1.0, 20),
+        # a cutoff is an integer
+        lambda: fock.coherent_state(0.5, 10.5),
+        lambda: fock.destroy(10.5),
+    ],
+)
+def test_malformed_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_oracle_and_verify_ops_load_no_scipy():
     code = """
 import sys

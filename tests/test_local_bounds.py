@@ -23,7 +23,15 @@ from gaussdisc import (
     verify_fidelity_optimality,
     verify_heterodyne_optimality,
 )
-from gaussdisc.local_bounds import LAMBDA_SCAN_GRID, _scan
+from gaussdisc.global_bounds import fidelity_error
+from gaussdisc.local_bounds import (
+    _SCAN_SEEDS,
+    LAMBDA_SCAN_GRID,
+    _averaged_fidelity,
+    _condition,
+    _fidelity_prefactor,
+    _scan,
+)
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 HET = GaussianPovm.heterodyne()
@@ -301,6 +309,49 @@ def test_scan_entries_are_single_point_evaluations(mu, g, s):
         povm = GaussianPovm(1.0, 0.0, lam)
         assert overlap_scan.values[i] == s_overlap_local(mu, s, povm, g=g)
         assert fidelity_scan.values[i] == averaged_fidelity_bound(mu, lam, g=g)
+
+
+def test_hermite_rule_is_exactly_symmetric():
+    # the fidelity scan sums its 40 x 40 rule over the positive quadrant only;
+    # that is the same rule because of these three facts
+    t, w = np.polynomial.hermite_e.hermegauss(40)
+    assert np.array_equal(t, -t[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert not (t == 0.0).any()
+
+
+def _full_rule_scan(mu, g):
+    """The scan stack averaged over the whole 40 x 40 Gauss-Hermite grid."""
+    t, w = np.polynomial.hermite_e.hermegauss(40)
+    w = w / w.sum()
+    v_cond, v_mod = _condition(mu, g, _SCAN_SEEDS)
+    v_a = mu * np.eye(2)
+    total = np.diagonal(v_a + v_cond, axis1=1, axis2=2)
+    spread = np.sqrt(np.diagonal(v_mod, axis1=1, axis2=2))[:, :, None] * t
+    q = spread * spread / total[:, :, None]
+    f = _fidelity_prefactor(v_a, v_cond)[:, None, None] * np.exp(
+        -0.5 * (q[:, 0, :, None] + q[:, 1, None, :])
+    )
+    return ((fidelity_error(f) * w).sum(axis=2) * w).sum(axis=1)
+
+
+def test_half_rule_matches_full_rule():
+    rng = np.random.default_rng(90)
+    mus = 1.0 + 10.0 ** rng.uniform(-9.0, math.log10(999.0), 40)
+    passed = 0
+    for mu in mus:
+        for g in (mu - 1.0, rng.uniform() * (mu - 1.0)):
+            full = _full_rule_scan(mu, g)
+            half = _averaged_fidelity(mu, *_condition(mu, g, _SCAN_SEEDS))
+            assert np.max(np.abs(half - full) / full) <= 2e-15
+            try:
+                _scan(full, mu, g, None, "fidelity scan")
+            except ReportFailure:
+                continue
+            # a scan the full rule confirms is confirmed, with the same values
+            assert np.array_equal(verify_fidelity_optimality(mu, g).values, half[:-2])
+            passed += 1
+    assert passed >= 20
 
 
 @pytest.mark.parametrize(
