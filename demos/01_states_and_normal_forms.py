@@ -51,5 +51,5 @@ print(
 )
 
 num = williamson_numeric(one.matrix())
-print("\nsame spectrum from the numeric Schur route:")
+print("\nsame spectrum from the numeric route (one Hermitian eigh):")
 print(f"  nu- = {num.nu_minus:.12f}, nu+ = {num.nu_plus:.12f}")

@@ -66,9 +66,11 @@ class FockConfig:
 
 def _check_integer(name: str, value) -> None:
     try:
-        operator.index(value)
+        positive = operator.index(value) >= 1
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        positive = False
+    if not positive:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def destroy(cutoff: int) -> np.ndarray:

@@ -110,8 +110,7 @@ def fidelity_error(f):
     """``(1 - sqrt(1 - F)) / 2``, the error bound from a fidelity ``F``, elementwise.
 
     Written as ``F / (2 (1 + sqrt(1 - F)))``, which does not cancel when
-    ``F`` is small.  The global lower bound takes ``F = B^2`` with ``B`` the
-    s = 1/2 overlap.
+    ``F`` is small.
     """
     return f / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - f))))
 
@@ -134,25 +133,34 @@ class GlobalBounds:
     bhattacharyya: float
 
 
+def chernoff_overlap_global(mu):
+    """``min_s Q_s`` elementwise over arrays, ``mu`` not checked: ``Q_s`` falls on
+    the whole interval (see ``S_INTERVAL``), so it is the overlap at the clip."""
+    return overlap_global(mu, S_INTERVAL[1])
+
+
+def lower_bound_global(mu):
+    """Bhattacharyya bound ``fidelity_error(B^2)`` with ``B`` the s = 1/2 overlap,
+    elementwise over arrays, ``mu`` not checked."""
+    return fidelity_error(overlap_global(mu, 0.5) ** 2)
+
+
 def qcb_global(mu: float) -> SOverlapResult:
     """Chernoff-type upper bound ``P+ = min_s Q_s / 2`` for the global detector.
 
-    ``Q_s`` falls on the whole interval (see ``S_INTERVAL``), so the minimum
-    is the overlap at the clip and ``s_star`` is ``S_INTERVAL[1]`` for every
-    ``mu``.
+    A batch of one of :func:`chernoff_overlap_global`; ``s_star`` is the clip
+    ``S_INTERVAL[1]`` for every ``mu``.
     """
-    s_star = S_INTERVAL[1]
-    q = float(overlap_global(np.float64(check_mu(mu)), s_star))
-    return SOverlapResult(s_star, q, q / 2.0)
+    q = float(chernoff_overlap_global(np.array([check_mu(mu)]))[0])
+    return SOverlapResult(S_INTERVAL[1], q, q / 2.0)
 
 
 def bhattacharyya_global(mu: float) -> GlobalBounds:
     """Bracket the global error probability from both sides.
 
-    The lower bound uses the s = 1/2 overlap B through
-    ``P- = (1 - sqrt(1 - B^2)) / 2``; the upper bound is :func:`qcb_global`.
+    ``P- = (1 - sqrt(1 - B^2)) / 2`` is a batch of one of
+    :func:`lower_bound_global`; the upper bound is :func:`qcb_global`.
     """
+    p_lower = float(lower_bound_global(np.array([check_mu(mu)]))[0])
     b = s_overlap_global(mu, 0.5)
-    return GlobalBounds(
-        p_upper=qcb_global(mu).p_upper, p_lower=float(fidelity_error(b * b)), bhattacharyya=b
-    )
+    return GlobalBounds(p_upper=qcb_global(mu).p_upper, p_lower=p_lower, bhattacharyya=b)

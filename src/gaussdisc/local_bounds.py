@@ -196,9 +196,17 @@ def minimum_over_s(overlap, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s_star, q_min
 
 
+def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked."""
+    return minimum_over_s(overlap_heterodyne, mu)
+
+
 def p_upper_local(mu: float) -> SOverlapResult:
-    """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``."""
-    s_star, q = minimum_over_s(overlap_heterodyne, np.array([check_mu(mu)]))
+    """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``.
+
+    A batch of one of :func:`chernoff_overlap_local`.
+    """
+    s_star, q = chernoff_overlap_local(np.array([check_mu(mu)]))
     return SOverlapResult(float(s_star[0]), float(q[0]), float(q[0]) / 2.0)
 
 

@@ -13,29 +13,11 @@ import numpy as np
 
 from .entropy import correlation_budget, info_bounds
 from .errors import check_mu
-from .global_bounds import S_INTERVAL, fidelity_error, overlap_global
-from .local_bounds import lower_bound_local, minimum_over_s, overlap_heterodyne
+from .global_bounds import chernoff_overlap_global, lower_bound_global
+from .local_bounds import chernoff_overlap_local, lower_bound_local
 
 #: absolute slack of the cross-bound ordering checks
 _SLACK = 1e-12
-#: CSV column contract: exactly these names, in this order.
-REPORT_FIELDS = (
-    "mu",
-    "delta_c",
-    "delta_d",
-    "p_plus_global",
-    "p_minus_global",
-    "p_plus_local",
-    "p_minus_local",
-    "i_plus_global",
-    "i_minus_global",
-    "i_plus_local",
-    "i_minus_local",
-    "kappa",
-    "kappa_loc",
-    "delta",
-    "ratio_db",
-)
 
 
 @dataclass(frozen=True)
@@ -44,7 +26,8 @@ class DiscriminationReport:
 
     ``i_plus_*``/``i_minus_*`` are the upper/lower mutual-information bounds
     induced by the corresponding error bounds; ``ratio_db`` is NaN at
-    ``mu = 1`` where the exponent ratio is undefined.
+    ``mu = 1`` where the exponent ratio is undefined.  The fields, in this
+    order, are the CSV columns (``REPORT_FIELDS``).
     """
 
     mu: float
@@ -67,7 +50,8 @@ class DiscriminationReport:
         return [getattr(self, name) for name in REPORT_FIELDS]
 
 
-assert tuple(f.name for f in fields(DiscriminationReport)) == REPORT_FIELDS
+#: CSV column contract: exactly these names, in this order.
+REPORT_FIELDS = tuple(field.name for field in fields(DiscriminationReport))
 
 
 def evaluate(mu_grid) -> dict[str, np.ndarray]:
@@ -75,19 +59,18 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
 
     Returns the ``REPORT_FIELDS`` columns other than the information
     brackets (see :func:`discrimination_reports`), plus the exponent
-    ``ratio``.  The global Chernoff overlap is read at the clip
-    ``S_INTERVAL[1]``, where its minimum over s sits (see
-    :mod:`gaussdisc.global_bounds`); the local minimization over s and the
-    radial quadrature run on the whole grid at once.  Every element is
-    computed independently of the others, so a point's values do not depend
-    on the grid around it.
+    ``ratio``.  Each error bound comes from the one elementwise function
+    that the scalar API is a view of: :func:`chernoff_overlap_global`,
+    :func:`lower_bound_global`, :func:`chernoff_overlap_local` and
+    :func:`lower_bound_local`.  Every element is computed independently of
+    the others, so a point's values do not depend on the grid around it.
     ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``, where both exponents
     vanish.
     """
     mu = np.array([check_mu(float(value)) for value in mu_grid], dtype=float)
     budgets = [correlation_budget(value) for value in mu.tolist()]
-    q_global = overlap_global(mu, S_INTERVAL[1])
-    q_local = minimum_over_s(overlap_heterodyne, mu)[1]
+    q_global = chernoff_overlap_global(mu)
+    q_local = chernoff_overlap_local(mu)[1]
     spread = mu > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(spread, -np.log(q_global), 0.0)
@@ -99,7 +82,7 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
         "delta_c": np.array([b.delta_c for b in budgets]),
         "delta_d": np.array([b.delta_d for b in budgets]),
         "p_plus_global": q_global / 2.0,
-        "p_minus_global": fidelity_error(overlap_global(mu, 0.5) ** 2),
+        "p_minus_global": lower_bound_global(mu),
         "p_plus_local": q_local / 2.0,
         "p_minus_local": lower_bound_local(mu),
         "kappa": kappa,

@@ -98,7 +98,10 @@ def check_bona_fide(cm: SymmetricTwoModeCM) -> tuple[bool, list[str]]:
 
     Returns ``(ok, violations)`` where ``violations`` lists every clause that
     fails: ``mu >= 1``, ``|g| < mu``, ``|gp| < mu`` and
-    ``mu^2 + g*gp - 1 >= mu*|g + gp|``.  Non-finite entries raise DomainError.
+    ``mu^2 + g*gp - 1 >= mu*|g + gp|``, the last tested in its factored form
+    ``min((mu - g)(mu - gp), (mu + g)(mu + gp)) >= 1`` (the squared smaller
+    symplectic eigenvalue), which is exact at the separability edge
+    ``g = gp = +-(mu - 1)``.  Non-finite entries raise DomainError.
     """
     if not all(map(math.isfinite, (cm.mu, cm.g, cm.gp))):
         raise DomainError(f"covariance entries must be finite, got {cm}")
@@ -109,12 +112,9 @@ def check_bona_fide(cm: SymmetricTwoModeCM) -> tuple[bool, list[str]]:
         violations.append(f"|g| < mu violated (g = {cm.g}, mu = {cm.mu})")
     if abs(cm.gp) >= cm.mu:
         violations.append(f"|gp| < mu violated (gp = {cm.gp}, mu = {cm.mu})")
-    lhs = cm.mu * cm.mu + cm.g * cm.gp - 1.0
-    rhs = cm.mu * abs(cm.g + cm.gp)
-    if lhs < rhs:
-        violations.append(
-            f"mu^2 + g*gp - 1 >= mu*|g + gp| violated ({lhs} < {rhs})"
-        )
+    nu2 = min((cm.mu - cm.g) * (cm.mu - cm.gp), (cm.mu + cm.g) * (cm.mu + cm.gp))
+    if nu2 < 1.0:
+        violations.append(f"min((mu - g)(mu - gp), (mu + g)(mu + gp)) >= 1 violated ({nu2} < 1)")
     return (not violations, violations)
 
 
@@ -143,10 +143,8 @@ def williamson_symmetric(cm: SymmetricTwoModeCM) -> WilliamsonDecomposition:
     """
     if cm.g != cm.gp:
         raise DomainError("closed form requires g == gp")
-    ok, violations = check_bona_fide(cm)
-    if not ok:
-        raise DomainError("not a bona-fide covariance matrix: " + "; ".join(violations))
-    check_correlation(cm.mu, cm.g)
+    # for g == gp the bona-fide rule is the separability edge |g| <= mu - 1
+    check_correlation(check_mu(cm.mu), cm.g)
     s = _SYMMETRIC_DIAGONALIZER
     if cm.g < 0.0:
         s = s @ _MODE_SWAP

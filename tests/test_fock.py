@@ -347,9 +347,13 @@ def test_non_finite_input_is_a_domain_error(call):
         lambda: gd.fidelity_heterodyne(2.0, ((1.0, 0.0),)),
         lambda: displaced_thermal(0.2, (1.0, 0.0, 5.0), 20),
         lambda: displaced_thermal(0.2, 1.0, 20),
-        # a cutoff is an integer
+        # a cutoff is a positive integer
         lambda: fock.coherent_state(0.5, 10.5),
         lambda: fock.destroy(10.5),
+        lambda: fock.coherent_state(0.5, 0),
+        lambda: fock.coherent_state(0.5, -3),
+        lambda: fock.destroy(0),
+        lambda: fock.destroy(-2),
     ],
 )
 def test_malformed_input_is_a_domain_error(call):

@@ -88,7 +88,11 @@ def test_overlap_half_frozen_radical():
 
 
 def test_overlap_closed_form_matches_matrix_form():
-    for mu in (1.0, 1.3, 2.0, 7.0):
+    # the maximally correlated state is on the bona-fide edge: 25.69632426980148
+    # and the seeded sample once failed its check by rounding
+    rng = np.random.default_rng(0)
+    sample = [*1.0 + 10.0 ** rng.uniform(-12, 6, 20), *rng.uniform(1.0, 50.0, 20)]
+    for mu in (1.0, 1.3, 2.0, 7.0, 25.69632426980148, *map(float, sample)):
         dec0 = WilliamsonDecomposition(mu, mu, np.eye(4))
         dec1 = williamson_symmetric(make_state_one(mu))
         for s in (0.2, 0.5, 0.8):

@@ -63,19 +63,29 @@ def test_report_rejects_mu_below_one():
 
 def test_single_point_views_are_rows_of_the_batched_evaluation():
     grid = np.logspace(math.log10(1.001), 3.0, 37).tolist()
-    reports = discrimination_reports(grid)
     gains = gain_curves(grid)
+    names = ("kappa", "kappa_loc", "delta", "ratio", "ratio_db")
     for i in (0, 1, 17, 36):
-        mu, row, gain = grid[i], reports[i], gains[i]
+        exp, gain = exponents(grid[i]), gains[i]
+        assert [getattr(exp, n).hex() for n in names] == [getattr(gain, n).hex() for n in names]
+    # the report and bound views also at the domain edge and far above it
+    points = grid + [1.0, 1e12, 1e15]
+    reports = discrimination_reports(points)
+    for i in (0, 1, 17, 36, 37, 38, 39):
+        mu, row = points[i], reports[i]
         single = discrimination_report(mu)
         assert [v.hex() for v in single.as_row()] == [v.hex() for v in row.as_row()]
-        exp = exponents(mu)
-        names = ("kappa", "kappa_loc", "delta", "ratio", "ratio_db")
-        assert [getattr(exp, n).hex() for n in names] == [getattr(gain, n).hex() for n in names]
         assert qcb_global(mu).p_upper.hex() == row.p_plus_global.hex()
         assert bhattacharyya_global(mu).p_lower.hex() == row.p_minus_global.hex()
         assert p_upper_local(mu).p_upper.hex() == row.p_plus_local.hex()
         assert p_lower_local(mu).hex() == row.p_minus_local.hex()
+
+
+def test_report_fields_match_the_documented_csv_header():
+    # the README prints the header over two lines; bench/workloads.py copies it
+    readme = (pathlib.Path(_SRC).parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(readme) if line.startswith("mu,delta_c,"))
+    assert ",".join(REPORT_FIELDS) == readme[start] + readme[start + 1]
 
 
 def test_import_does_not_load_scipy():

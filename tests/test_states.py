@@ -43,8 +43,13 @@ def test_state_one_at_mu_one_is_uncorrelated():
 
 
 def test_state_one_is_bona_fide():
-    ok, violations = check_bona_fide(make_state_one(2.0))
-    assert ok and violations == []
+    # the state sits on the separability edge, where the expanded bona-fide
+    # inequality holds with equality; rounding once failed it at 25.69632426980148
+    rng = np.random.default_rng(0)
+    sample = [*1.0 + 10.0 ** rng.uniform(-12, 6, 20), *rng.uniform(1.0, 50.0, 20)]
+    for mu in (2.0, 25.69632426980148, *map(float, sample)):
+        ok, violations = check_bona_fide(make_state_one(mu))
+        assert ok and violations == [], mu
 
 
 def test_state_one_spectrum_against_eigenvalue_oracle():
