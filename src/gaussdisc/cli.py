@@ -20,8 +20,9 @@ from .global_bounds import s_overlap_global
 from .local_bounds import verify_heterodyne_optimality
 from .report import (
     REPORT_FIELDS,
+    column_violations,
     discrimination_report,
-    discrimination_reports,
+    report_columns,
     report_violations,
 )
 
@@ -34,10 +35,6 @@ EXIT_INVARIANT = 5
 
 ORACLE_MU_LIMIT = 2.5
 ORACLE_TOL = 1e-3
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def cmd_point(args: argparse.Namespace) -> int:
@@ -70,17 +67,16 @@ def sweep_grid(mu_min: float, mu_max: float, points: int, spacing: str) -> np.nd
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = sweep_grid(args.mu_min, args.mu_max, args.points, args.spacing)
-    lines = [",".join(REPORT_FIELDS)]
-    for report in discrimination_reports(grid):
-        violations = report_violations(report)
-        if violations:
-            print(
-                f"internal invariant violation at mu={report.mu:g}: " + "; ".join(violations),
-                file=sys.stderr,
-            )
-            return EXIT_INVARIANT
-        lines.append(",".join(_fmt(v) for v in report.as_row()))
-    payload = "\n".join(lines) + "\n"
+    columns = report_columns(grid)
+    i, violations = column_violations(columns)
+    if violations:
+        where = f"at mu={float(columns['mu'][i]):g}"
+        print(f"internal invariant violation {where}: " + "; ".join(violations), file=sys.stderr)
+        return EXIT_INVARIANT
+    # one 12-digit row template, repeated per row and filled from the stacked columns
+    table = np.stack([columns[name] for name in REPORT_FIELDS], axis=1)
+    line = ",".join(["%.12g"] * len(REPORT_FIELDS)) + "\n"
+    payload = ",".join(REPORT_FIELDS) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)

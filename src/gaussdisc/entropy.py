@@ -1,6 +1,7 @@
 """Entropic quantities: thermal entropy, encoded correlations and information bounds.
 
-All quantities are in bits (base-2 logarithms).
+All quantities are in bits (base-2 logarithms).  Each has one elementwise
+array function, and the scalar API evaluates a batch of one.
 """
 
 from __future__ import annotations
@@ -8,10 +9,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericalError, check_mu
 
 _BISECTION_HI = 1e12  # delta_d is numerically indistinguishable from 1 here
 _BISECTION_TOL = 1e-10  # on delta_d
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """Scalar ``fn`` on each element, so that its ``math`` calls stay in libm:
+    numpy's SIMD ``log1p``, ``atanh`` and ``log2`` may differ from libm's in
+    the last place, while the IEEE arithmetic around them rounds the same."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def entropy_h(x: float) -> float:
@@ -20,12 +30,18 @@ def entropy_h(x: float) -> float:
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0.
     With ``b = (x-1)/2`` it is evaluated as ``(log1p(b) + b log1p(1/b)) / ln 2``,
     a sum of two positive terms, since the two products above cancel for
-    large ``x``.
+    large ``x``.  A batch of one of :func:`thermal_entropy`.
     """
-    if check_mu(x) == 1.0:
-        return 0.0
+    return float(thermal_entropy(np.array([check_mu(x)]))[0])
+
+
+def thermal_entropy(x: np.ndarray) -> np.ndarray:
+    """:func:`entropy_h` elementwise over an array; ``x`` is not checked."""
     b = (x - 1.0) / 2.0
-    return (math.log1p(b) + b * math.log1p(1.0 / b)) / math.log(2.0)
+    out, hot = np.zeros_like(b), b > 0.0
+    b = b[hot]
+    out[hot] = (_libm(math.log1p, b) + b * _libm(math.log1p, 1.0 / b)) / math.log(2.0)
+    return out
 
 
 def binary_entropy(p: float) -> float:
@@ -37,14 +53,24 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def correlations(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(delta_c, delta_d)`` elementwise over an array of checked ``mu``, each
+    of the three entropies formed once; a derived variance that overflows is
+    a :class:`DomainError`."""
+    with np.errstate(over="ignore"):
+        x = np.stack([mu, (3.0 * mu - 1.0) / (mu + 1.0), 2.0 * mu - 1.0])
+    check_mu(np.max(x, initial=1.0))
+    h_mu, h_cond, h_twin = thermal_entropy(x)
+    return h_mu - h_cond, h_mu - h_twin + h_cond
+
+
 def delta_c(mu: float) -> float:
     """Classical correlations encoded by the maximally correlated state.
 
     Equals ``h(mu) - h((3 mu - 1)/(mu + 1))``; zero at ``mu = 1`` and
     unbounded as ``mu`` grows.
     """
-    check_mu(mu)
-    return entropy_h(mu) - entropy_h((3.0 * mu - 1.0) / (mu + 1.0))
+    return correlation_budget(mu).delta_c
 
 
 def delta_d(mu: float) -> float:
@@ -53,12 +79,7 @@ def delta_d(mu: float) -> float:
     Equals ``h(mu) - h(2 mu - 1) + h((3 mu - 1)/(mu + 1))``; increases from 0
     at ``mu = 1`` towards 1 as ``mu`` grows.
     """
-    check_mu(mu)
-    return (
-        entropy_h(mu)
-        - entropy_h(2.0 * mu - 1.0)
-        + entropy_h((3.0 * mu - 1.0) / (mu + 1.0))
-    )
+    return correlation_budget(mu).delta_d
 
 
 def mu_from_delta_d(target: float) -> float:
@@ -95,24 +116,34 @@ def info_bounds(p_upper: float, p_lower: float) -> tuple[float, float]:
     Given ``p_lower <= p_upper <= 1/2`` the retrievable information lies in
     ``[1 - H(p_upper), 1 - H(p_lower)]``; returns ``(i_lower, i_upper)``.
     """
-    if not 0.0 <= p_lower <= p_upper <= 0.5:
+    bracket = np.array([p_upper, p_lower], float)
+    check_brackets(bracket[:1], bracket[1:])
+    return tuple(information(bracket).tolist())
+
+
+def check_brackets(p_upper: np.ndarray, p_lower: np.ndarray) -> None:
+    """DomainError at the first element that breaks ``0 <= p_lower <= p_upper <= 1/2``."""
+    ordered = (0.0 <= p_lower) & (p_lower <= p_upper) & (p_upper <= 0.5)
+    if not ordered.all():
+        i = int(np.argmin(ordered))
         raise DomainError(
-            f"need 0 <= p_lower <= p_upper <= 1/2, got ({p_upper}, {p_lower})"
+            f"need 0 <= p_lower <= p_upper <= 1/2, got ({float(p_upper[i])}, {float(p_lower[i])})"
         )
-    return _information(p_upper), _information(p_lower)
 
 
-def _information(p: float) -> float:
-    """``1 - H(p)`` for ``0 <= p <= 1/2``, without cancelling near ``p = 1/2``.
+def information(p: np.ndarray) -> np.ndarray:
+    """``1 - H(p)`` elementwise over ``[0, 1/2]``, without cancelling near
+    ``p = 1/2``; ``p`` is not checked.
 
     With ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
     ``(2 d atanh(d) + log1p(-d^2)) / (2 ln 2)``, whose terms are of the size
     of the result; below ``p = 1/4`` the entropy is far enough from 1.
     """
-    if p < 0.25:
-        return 1.0 - binary_entropy(p)
-    d = 1.0 - 2.0 * p
-    return (2.0 * d * math.atanh(d) + math.log1p(-d * d)) / (2.0 * math.log(2.0))
+    out, far = np.empty_like(p), p < 0.25
+    out[far] = 1.0 - _libm(binary_entropy, p[far])
+    d = 1.0 - 2.0 * p[~far]
+    out[~far] = (2.0 * d * _libm(math.atanh, d) + _libm(math.log1p, -d * d)) / (2.0 * math.log(2.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,4 +156,7 @@ class CorrelationBudget:
 
 
 def correlation_budget(mu: float) -> CorrelationBudget:
-    return CorrelationBudget(mu, delta_c(mu), delta_d(mu))
+    """:func:`delta_c` and :func:`delta_d` at one ``mu``: a batch of one of :func:`correlations`."""
+    mu = check_mu(mu)
+    dc, dd = correlations(np.array([mu]))
+    return CorrelationBudget(mu, float(dc[0]), float(dd[0]))

@@ -22,14 +22,14 @@ class ReportFailure(RuntimeError):
 
 
 def check_mu(mu: float) -> float:
-    """Return the thermal variance ``mu`` if it is finite and at least 1.
+    """Return the thermal variance ``mu`` as a float if it is finite and at least 1.
 
     Raises :class:`DomainError` otherwise; NaN and infinity are rejected
-    here, not left to fail somewhere inside the numerics.
+    here, and an integer or float32 ``mu`` cannot set the dtype of an array.
     """
     if not (math.isfinite(mu) and mu >= 1.0):
         raise DomainError(f"thermal variance must be finite and satisfy mu >= 1, got {mu}")
-    return mu
+    return float(mu)
 
 
 def check_correlation(mu: float, g: float) -> float:

@@ -114,7 +114,7 @@ def build_thermal(n_bar: float, config: FockConfig) -> np.ndarray:
 
 def _thermal_pair_diag(mu: float, config: FockConfig) -> np.ndarray:
     """Diagonal of :func:`build_thermal_product`, over the two-mode number basis."""
-    single = np.diag(build_thermal((mu - 1.0) / 2.0, config))
+    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
     return np.outer(single, single).ravel()
 
 
@@ -136,7 +136,7 @@ def _correlated_blocks(mu: float, config: FockConfig) -> list[tuple[np.ndarray, 
     ``sqrt(orbit size * weight)``; the trace of the correlated state is
     ``sum_k ||A_k||_F^2``.
     """
-    check_mu(mu)
+    mu = check_mu(mu)
     cutoff, nodes = config.cutoff, config.modulation_nodes
     # hermegauss symmetrises nodes and weights, so the orbits are exact
     t, w = np.polynomial.hermite_e.hermegauss(nodes)

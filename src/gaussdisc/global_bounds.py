@@ -37,13 +37,13 @@ S_INTERVAL = (1e-6, 1.0 - 1e-6)
 def g_weight(s: float, x: float) -> float:
     """Overlap prefactor weight ``2^s / ((x+1)^s - (x-1)^s)``; equals 1 at x = 1."""
     _check_weight_args(s, x)
-    return float(overlap_weights(s, x)[0])
+    return float(overlap_weights(s, float(x))[0])
 
 
 def lambda_weight(s: float, x: float) -> float:
     """Overlap width weight ``((x+1)^s + (x-1)^s) / ((x+1)^s - (x-1)^s)`` >= 1."""
     _check_weight_args(s, x)
-    return float(overlap_weights(s, x)[1])
+    return float(overlap_weights(s, float(x))[1])
 
 
 def _check_weight_args(s: float, x) -> None:

@@ -103,7 +103,8 @@ def condition_on_povm(mu: float, g: float, povm: GaussianPovm) -> ConditionalPre
     The modulation covariance is ``g^2 (mu I + V_seed)^(-1)`` and the
     conditional covariance is its complement to ``mu I``.
     """
-    check_correlation(check_mu(mu), g)
+    mu = check_mu(mu)
+    check_correlation(mu, g)
     v_cond, v_mod = _condition(mu, g, povm.covariance())
     gain = math.sqrt(2.0) * g / (mu + 1.0) if povm.is_heterodyne else None
     return ConditionalPreparation(v_cond=v_cond, v_mod=v_mod, outcome_gain=gain)
@@ -142,6 +143,7 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     ``Sigma_s = L_s(mu) I + L_(1-s)(nu) S S^T``; ``S S^T`` is just
     ``V_c / nu``, so no explicit diagonalization is needed.
     """
+    mu = check_mu(mu)
     prep = condition_on_povm(mu, mu - 1.0 if g is None else g, povm)
     return float(_overlap_local(mu, s, prep.v_cond[None], prep.v_mod[None])[0])
 
@@ -219,7 +221,8 @@ def fidelity_heterodyne(mu: float, a) -> float:
     """
     a = check_displacement(a, "displacement label")
     a2 = float(a @ a)
-    eps = heterodyne_epsilon(mu)
+    mu = check_mu(mu)
+    eps = _epsilon(mu)
     den = float(_fidelity_denominator(mu, eps))
     return 2.0 * math.exp(-eps * eps * a2 / (4.0 * (mu + 1.0 + eps))) / den
 
@@ -355,7 +358,7 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
     derivative at lambda = 1 to vanish within 1e-6, all as one stack.  Raises
     :class:`ReportFailure` if either check fails.
     """
-    check_mu(mu)
+    mu = check_mu(mu)
     if not (0.0 < g <= mu - 1.0 and 0.0 < s < 1.0):
         raise DomainError(f"invalid scan point (mu={mu}, g={g}, s={s})")
     values = _overlap_local(mu, s, *_condition(mu, g, _SCAN_SEEDS))
@@ -384,6 +387,7 @@ def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> fl
     weights times 4.  That is the same quadrature, not a coarser one: only
     the order of the summation differs.
     """
+    mu = check_mu(mu)
     prep = condition_on_povm(mu, mu - 1.0 if g is None else g, GaussianPovm(1.0, 0.0, lam))
     return float(_averaged_fidelity(mu, prep.v_cond[None], prep.v_mod[None])[0])
 
@@ -413,7 +417,7 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     fidelity against the true displacement statistics), which is the version
     of the bound the optimality claim holds for.
     """
-    check_mu(mu)
+    mu = check_mu(mu)
     gval = check_correlation(mu, mu - 1.0 if g is None else g)
     values = _averaged_fidelity(mu, *_condition(mu, gval, _SCAN_SEEDS))
     return _scan(values, mu, gval, None, "fidelity scan")

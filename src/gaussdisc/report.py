@@ -1,8 +1,8 @@
 """Aggregation of every bound, information bracket and exponent over a grid.
 
-:func:`evaluate` computes the bound and exponent columns for a whole grid of
-thermal variances at once; the reports, the exponents and the gain tables
-are views of it.
+:func:`evaluate` computes every column for a whole grid of thermal variances
+at once; the sweep CSV is written straight from it, and the reports, the
+exponents and the gain tables are views of it.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entropy import correlation_budget, info_bounds
+from .entropy import check_brackets, correlations, information
 from .errors import check_mu
 from .global_bounds import chernoff_overlap_global, lower_bound_global
 from .local_bounds import chernoff_overlap_local, lower_bound_local
-
-#: absolute slack of the cross-bound ordering checks
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,42 +52,41 @@ REPORT_FIELDS = tuple(field.name for field in fields(DiscriminationReport))
 
 
 def evaluate(mu_grid) -> dict[str, np.ndarray]:
-    """Every bound and exponent column over a grid of thermal variances.
+    """Every ``REPORT_FIELDS`` column, and the exponent ``ratio``, over a grid.
 
-    Returns the ``REPORT_FIELDS`` columns other than the information
-    brackets (see :func:`discrimination_reports`), plus the exponent
-    ``ratio``.  Each error bound comes from the one elementwise function
-    that the scalar API is a view of: :func:`chernoff_overlap_global`,
-    :func:`lower_bound_global`, :func:`chernoff_overlap_local` and
-    :func:`lower_bound_local`.  Every element is computed independently of
-    the others, so a point's values do not depend on the grid around it.
-    ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``, where both exponents
-    vanish.
+    Each column comes from the one elementwise function that its scalar API
+    is a view of, so a point's values do not depend on the grid around it.
+    The error brackets are not checked here (:func:`report_columns` checks
+    them).  ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``.
     """
-    mu = np.array([check_mu(float(value)) for value in mu_grid], dtype=float)
-    budgets = [correlation_budget(value) for value in mu.tolist()]
-    q_global = chernoff_overlap_global(mu)
-    q_local = chernoff_overlap_local(mu)[1]
+    mu = np.array([check_mu(value) for value in mu_grid], dtype=float)
+    delta_c, delta_d = correlations(mu)
+    q_global, q_local = chernoff_overlap_global(mu), chernoff_overlap_local(mu)[1]
+    p_plus_global, p_minus_global = q_global / 2.0, lower_bound_global(mu)
+    p_plus_local, p_minus_local = q_local / 2.0, lower_bound_local(mu)
     spread = mu > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(spread, -np.log(q_global), 0.0)
         kappa_loc = np.where(spread, -np.log(q_local), 0.0)
         ratio = np.where(spread, kappa / kappa_loc, np.nan)
         ratio_db = 10.0 * np.log10(ratio)
-    return {
-        "mu": mu,
-        "delta_c": np.array([b.delta_c for b in budgets]),
-        "delta_d": np.array([b.delta_d for b in budgets]),
-        "p_plus_global": q_global / 2.0,
-        "p_minus_global": lower_bound_global(mu),
-        "p_plus_local": q_local / 2.0,
-        "p_minus_local": lower_bound_local(mu),
-        "kappa": kappa,
-        "kappa_loc": kappa_loc,
-        "delta": kappa - kappa_loc,
-        "ratio": ratio,
-        "ratio_db": ratio_db,
-    }
+    # an upper bound on the error gives a lower bound on the information
+    return dict(
+        mu=mu, delta_c=delta_c, delta_d=delta_d, p_plus_global=p_plus_global,
+        p_minus_global=p_minus_global, p_plus_local=p_plus_local, p_minus_local=p_minus_local,
+        i_plus_global=information(p_minus_global), i_minus_global=information(p_plus_global),
+        i_plus_local=information(p_minus_local), i_minus_local=information(p_plus_local),
+        kappa=kappa, kappa_loc=kappa_loc, delta=kappa - kappa_loc, ratio=ratio, ratio_db=ratio_db,
+    )
+
+
+def report_columns(mu_grid) -> dict[str, np.ndarray]:
+    """:func:`evaluate`, with each error bracket checked as :func:`info_bounds`
+    checks it, the global one first."""
+    columns = evaluate(mu_grid)
+    for detector in ("global", "local"):
+        check_brackets(columns[f"p_plus_{detector}"], columns[f"p_minus_{detector}"])
+    return columns
 
 
 def rows(columns: dict[str, np.ndarray], cls) -> list:
@@ -100,20 +96,8 @@ def rows(columns: dict[str, np.ndarray], cls) -> list:
 
 
 def discrimination_reports(mu_grid) -> list[DiscriminationReport]:
-    """One report per grid point: :func:`evaluate` plus the information brackets.
-
-    The brackets come from :func:`info_bounds`, which rejects an error
-    bracket that is not ordered.
-    """
-    columns = evaluate(mu_grid)
-    for detector in ("global", "local"):
-        brackets = zip(
-            columns[f"p_plus_{detector}"].tolist(), columns[f"p_minus_{detector}"].tolist()
-        )
-        info = [info_bounds(p_up, p_lo) for p_up, p_lo in brackets]
-        lower, upper = np.array(info, dtype=float).reshape(-1, 2).T
-        columns[f"i_minus_{detector}"], columns[f"i_plus_{detector}"] = lower, upper
-    return rows(columns, DiscriminationReport)
+    """One report per grid point: the rows of :func:`report_columns`."""
+    return rows(report_columns(mu_grid), DiscriminationReport)
 
 
 def discrimination_report(mu: float) -> DiscriminationReport:
@@ -121,26 +105,33 @@ def discrimination_report(mu: float) -> DiscriminationReport:
     return discrimination_reports([mu])[0]
 
 
-def report_violations(report: DiscriminationReport) -> list[str]:
-    """Cross-bound ordering checks, each with an absolute slack of 1e-12.
+def column_violations(columns: dict[str, np.ndarray]) -> tuple[int, list[str]]:
+    """The first grid point that fails a cross-bound ordering check, each with
+    an absolute slack of 1e-12, and the labels it fails; ``(0, [])`` if none."""
+    c, slack = columns, 1e-12
+    checks = {
+        "p_minus_global <= p_plus_global": c["p_minus_global"] <= c["p_plus_global"] + slack,
+        "p_plus_global <= 1/2": c["p_plus_global"] <= 0.5 + slack,
+        "p_minus_local <= p_plus_local": c["p_minus_local"] <= c["p_plus_local"] + slack,
+        "p_plus_local <= 1/2": c["p_plus_local"] <= 0.5 + slack,
+        "p_plus_global <= p_plus_local": c["p_plus_global"] <= c["p_plus_local"] + slack,
+        "p_minus_global <= p_minus_local": c["p_minus_global"] <= c["p_minus_local"] + slack,
+        "i_minus_global <= i_plus_global": c["i_minus_global"] <= c["i_plus_global"] + slack,
+        "i_minus_local <= i_plus_local": c["i_minus_local"] <= c["i_plus_local"] + slack,
+        "i_minus_local <= i_minus_global": c["i_minus_local"] <= c["i_minus_global"] + slack,
+        "i_plus_local <= i_plus_global": c["i_plus_local"] <= c["i_plus_global"] + slack,
+        "global info in [0, 1]": (-slack <= c["i_minus_global"])
+        & (c["i_plus_global"] <= 1.0 + slack),
+        "local info in [0, 1]": (-slack <= c["i_minus_local"]) & (c["i_plus_local"] <= 1.0 + slack),
+        "kappa >= kappa_loc": c["kappa"] >= c["kappa_loc"] - slack,
+        "delta = kappa - kappa_loc": np.abs(c["delta"] - (c["kappa"] - c["kappa_loc"])) <= slack,
+    }
+    passed = np.array(list(checks.values()))
+    i = int(np.argmin(passed.all(axis=0)))
+    return i, [label for label, ok in zip(checks, passed[:, i]) if not ok]
 
-    An empty list means the row is consistent.
-    """
-    r, slack = report, _SLACK
-    checks = [
-        (r.p_minus_global <= r.p_plus_global + slack, "p_minus_global <= p_plus_global"),
-        (r.p_plus_global <= 0.5 + slack, "p_plus_global <= 1/2"),
-        (r.p_minus_local <= r.p_plus_local + slack, "p_minus_local <= p_plus_local"),
-        (r.p_plus_local <= 0.5 + slack, "p_plus_local <= 1/2"),
-        (r.p_plus_global <= r.p_plus_local + slack, "p_plus_global <= p_plus_local"),
-        (r.p_minus_global <= r.p_minus_local + slack, "p_minus_global <= p_minus_local"),
-        (r.i_minus_global <= r.i_plus_global + slack, "i_minus_global <= i_plus_global"),
-        (r.i_minus_local <= r.i_plus_local + slack, "i_minus_local <= i_plus_local"),
-        (r.i_minus_local <= r.i_minus_global + slack, "i_minus_local <= i_minus_global"),
-        (r.i_plus_local <= r.i_plus_global + slack, "i_plus_local <= i_plus_global"),
-        (-slack <= r.i_minus_global and r.i_plus_global <= 1.0 + slack, "global info in [0, 1]"),
-        (-slack <= r.i_minus_local and r.i_plus_local <= 1.0 + slack, "local info in [0, 1]"),
-        (r.kappa >= r.kappa_loc - slack, "kappa >= kappa_loc"),
-        (abs(r.delta - (r.kappa - r.kappa_loc)) <= slack, "delta = kappa - kappa_loc"),
-    ]
-    return [label for ok, label in checks if not ok]
+
+def report_violations(report: DiscriminationReport) -> list[str]:
+    """The labels of the checks of :func:`column_violations` that one report
+    fails; an empty list means the row is consistent."""
+    return column_violations({name: np.array([getattr(report, name)]) for name in REPORT_FIELDS})[1]

@@ -74,7 +74,7 @@ class SymmetricTwoModeCM:
 
 def make_state_zero(mu: float) -> SymmetricTwoModeCM:
     """Uncorrelated pair of thermal modes with variance ``mu``."""
-    check_mu(mu)
+    mu = check_mu(mu)
     return SymmetricTwoModeCM(mu, 0.0, 0.0)
 
 
@@ -83,13 +83,14 @@ def make_state_one(mu: float) -> SymmetricTwoModeCM:
 
     Both quadrature correlations sit at the separability edge ``mu - 1``.
     """
-    check_mu(mu)
+    mu = check_mu(mu)
     return SymmetricTwoModeCM(mu, mu - 1.0, mu - 1.0)
 
 
 def make_symmetric_state(mu: float, g: float) -> SymmetricTwoModeCM:
     """Separable member of the ``g = gp`` family; requires ``|g| <= mu - 1``."""
-    check_correlation(check_mu(mu), g)
+    mu = check_mu(mu)
+    check_correlation(mu, g)
     return SymmetricTwoModeCM(mu, g, g)
 
 
@@ -144,11 +145,12 @@ def williamson_symmetric(cm: SymmetricTwoModeCM) -> WilliamsonDecomposition:
     if cm.g != cm.gp:
         raise DomainError("closed form requires g == gp")
     # for g == gp the bona-fide rule is the separability edge |g| <= mu - 1
-    check_correlation(check_mu(cm.mu), cm.g)
+    mu = check_mu(cm.mu)
+    check_correlation(mu, cm.g)
     s = _SYMMETRIC_DIAGONALIZER
     if cm.g < 0.0:
         s = s @ _MODE_SWAP
-    return WilliamsonDecomposition(cm.mu - abs(cm.g), cm.mu + abs(cm.g), s)
+    return WilliamsonDecomposition(mu - abs(cm.g), mu + abs(cm.g), s)
 
 
 def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecomposition:

@@ -1,0 +1,166 @@
+"""The columnar sweep path: its elementwise functions are bit-identical to a
+scalar ``math`` reference, and its checks match the per-row checks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gaussdisc import REPORT_FIELDS, DiscriminationReport, cli, entropy, report_violations
+from gaussdisc.report import column_violations, evaluate
+
+# mu = 1 plus mu - 1 log-uniform in [1e-12, 1e15]
+MUS = np.concatenate([[1.0], 1.0 + 10.0 ** np.random.default_rng(11).uniform(-12.0, 15.0, 400)])
+# the information argument: both branches, their boundary and the end points
+PROBABILITIES = np.concatenate(
+    [
+        [0.0, np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0), 0.5],
+        np.random.default_rng(12).uniform(0.0, 0.5, 300),
+        # numpy's log2 differs from libm's on about 3 in 10^4 of these
+        np.random.default_rng(15).uniform(0.0, 0.25, 20000),
+        0.5 - 10.0 ** np.random.default_rng(13).uniform(-17.0, -1.0, 100),
+        10.0 ** np.random.default_rng(14).uniform(-300.0, -1.0, 100),
+    ]
+)
+
+
+def h_reference(x):
+    if x == 1.0:
+        return 0.0
+    b = (x - 1.0) / 2.0
+    return (math.log1p(b) + b * math.log1p(1.0 / b)) / math.log(2.0)
+
+
+def correlations_reference(mu):
+    cond = (3.0 * mu - 1.0) / (mu + 1.0)
+    return h_reference(mu) - h_reference(cond), (
+        h_reference(mu) - h_reference(2.0 * mu - 1.0) + h_reference(cond)
+    )
+
+
+def binary_entropy_reference(p):
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def information_reference(p):
+    if p < 0.25:
+        return 1.0 - binary_entropy_reference(p)
+    d = 1.0 - 2.0 * p
+    return (2.0 * d * math.atanh(d) + math.log1p(-d * d)) / (2.0 * math.log(2.0))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_thermal_entropy_is_bit_identical_to_the_scalar_formula():
+    x = np.concatenate([MUS, 2.0 * MUS - 1.0, (3.0 * MUS - 1.0) / (MUS + 1.0)])
+    assert hexes(entropy.thermal_entropy(x)) == hexes(map(h_reference, x.tolist()))
+
+
+def test_correlations_are_bit_identical_to_the_scalar_formulas():
+    dc, dd = entropy.correlations(MUS)
+    expected = [correlations_reference(mu) for mu in MUS.tolist()]
+    assert hexes(dc) == hexes(c for c, _ in expected)
+    assert hexes(dd) == hexes(d for _, d in expected)
+
+
+def test_information_is_bit_identical_to_the_scalar_formula():
+    got = entropy.information(PROBABILITIES)
+    assert hexes(got) == hexes(map(information_reference, PROBABILITIES.tolist()))
+    assert got[0] == 1.0 and got[4] == 0.0
+
+
+def test_scalar_views_match_the_columns():
+    for mu in MUS[:40].tolist():
+        dc, dd = correlations_reference(mu)
+        assert entropy.delta_c(mu).hex() == dc.hex()
+        assert entropy.delta_d(mu).hex() == dd.hex()
+        assert entropy.entropy_h(mu).hex() == h_reference(mu).hex()
+    for p in PROBABILITIES[:40].tolist():
+        assert entropy.binary_entropy(p).hex() == binary_entropy_reference(p).hex()
+        i_lower, i_upper = entropy.info_bounds(0.5, p)
+        assert (i_lower, i_upper) == (0.0, information_reference(p))
+
+
+def test_correlations_reject_overflowing_variances():
+    with pytest.raises(entropy.DomainError, match="got inf"):
+        entropy.correlation_budget(1e308)
+
+
+def row_violations_reference(r, slack=1e-12):
+    """The per-row cross-bound checks, written out one report at a time."""
+    checks = [
+        (r.p_minus_global <= r.p_plus_global + slack, "p_minus_global <= p_plus_global"),
+        (r.p_plus_global <= 0.5 + slack, "p_plus_global <= 1/2"),
+        (r.p_minus_local <= r.p_plus_local + slack, "p_minus_local <= p_plus_local"),
+        (r.p_plus_local <= 0.5 + slack, "p_plus_local <= 1/2"),
+        (r.p_plus_global <= r.p_plus_local + slack, "p_plus_global <= p_plus_local"),
+        (r.p_minus_global <= r.p_minus_local + slack, "p_minus_global <= p_minus_local"),
+        (r.i_minus_global <= r.i_plus_global + slack, "i_minus_global <= i_plus_global"),
+        (r.i_minus_local <= r.i_plus_local + slack, "i_minus_local <= i_plus_local"),
+        (r.i_minus_local <= r.i_minus_global + slack, "i_minus_local <= i_minus_global"),
+        (r.i_plus_local <= r.i_plus_global + slack, "i_plus_local <= i_plus_global"),
+        (-slack <= r.i_minus_global and r.i_plus_global <= 1.0 + slack, "global info in [0, 1]"),
+        (-slack <= r.i_minus_local and r.i_plus_local <= 1.0 + slack, "local info in [0, 1]"),
+        (r.kappa >= r.kappa_loc - slack, "kappa >= kappa_loc"),
+        (abs(r.delta - (r.kappa - r.kappa_loc)) <= slack, "delta = kappa - kappa_loc"),
+    ]
+    return [label for ok, label in checks if not ok]
+
+
+# one edit of the mu = 2 row per check (see tests/data/point_mu2.json)
+TAMPERING = [
+    ("p_minus_global", 0.4),
+    ("p_plus_global", 0.6),
+    ("p_minus_local", 0.48),
+    ("p_plus_local", 0.6),
+    ("p_plus_global", 0.48),
+    ("p_minus_global", 0.42),
+    ("i_minus_global", 0.3),
+    ("i_minus_local", 0.03),
+    ("i_minus_local", 0.09),
+    ("i_plus_local", 0.3),
+    ("i_plus_global", 1.1),
+    ("i_minus_local", -1e-9),
+    ("kappa_loc", 1.0),
+    ("delta", 0.3510160409537338),
+    ("kappa", math.nan),
+]
+
+
+def test_column_violations_match_the_row_checks():
+    seen = set()
+    for name, value in TAMPERING:
+        columns = evaluate([1.5, 2.0, 3.0])
+        columns[name][1] = value
+        row = DiscriminationReport(*(columns[field][1] for field in REPORT_FIELDS))
+        expected = row_violations_reference(row)
+        assert expected, (name, value)
+        assert column_violations(columns) == (1, expected)
+        assert report_violations(row) == expected
+        seen.update(expected)
+    assert len(seen) == 14
+    assert column_violations(evaluate([1.0, 1.5, 2.0, 1e12])) == (0, [])
+
+
+def test_sweep_reports_the_first_failing_row(monkeypatch, tmp_path, capsys):
+    real = cli.report_columns
+
+    def tampered(grid):
+        columns = real(grid)
+        columns["kappa_loc"][[3, 7]] = 1e3
+        columns["i_plus_local"][7] = 2.0
+        return columns
+
+    monkeypatch.setattr(cli, "report_columns", tampered)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--out", str(out)]) == cli.EXIT_INVARIANT
+    mu = cli.sweep_grid(1.001, 1000.0, 200, "log")[3]
+    assert capsys.readouterr().err == (
+        f"internal invariant violation at mu={mu:g}: "
+        "kappa >= kappa_loc; delta = kappa - kappa_loc\n"
+    )
+    assert not out.exists()
