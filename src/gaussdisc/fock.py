@@ -12,22 +12,22 @@ mixture of identical coherent pairs, which certifies its separability by
 construction; with the displacement variance chosen below its covariance
 matrix is the symmetric normal form with correlations at the separable edge.
 
-That mixture has rank at most ``nodes**2``, and it is block diagonal in the
-total photon number mod 4: the node grid is invariant under ``alpha -> i alpha``
-with equal weights, and a coherent pair only picks up the phase
-``i**(n1 + n2)`` under that map.  Each of the four blocks is kept as a factor
-with one column per orbit of the map (64 at the default 16 nodes), so the
-overlaps take the spectrum from four ``nodes**2 / 4``-sized Gram matrices, at
-O(cutoff**2 nodes**4 / 16) instead of the O(cutoff**6) of a dense
-eigendecomposition; two-mode moments use partial traces and two pairwise
+Both modes of a pair carry the same ``alpha``, so inside the ``cutoff x
+cutoff`` box its part on each sector ``N = n1 + n2`` is a multiple of one fixed
+unit vector ``v_N``, and the thermal pair is constant there.  So ``rho = V M
+V^T`` exactly, with ``M`` of order ``2 cutoff - 1`` and block diagonal in ``N
+mod 4``: the overlaps take their spectrum from four real blocks of about
+``cutoff / 2`` rows, at O(cutoff**2 nodes**2) instead of the O(cutoff**6) of a
+dense eigendecomposition; two-mode moments use partial traces and two pairwise
 tensor contractions instead of Kronecker-product operators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,46 +112,49 @@ def build_thermal(n_bar: float, config: FockConfig) -> np.ndarray:
     return np.diag(diag)
 
 
-def _thermal_pair_diag(mu: float, config: FockConfig) -> np.ndarray:
-    """Diagonal of :func:`build_thermal_product`, over the two-mode number basis."""
-    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
-    return np.outer(single, single).ravel()
-
-
 def build_thermal_product(mu: float, config: FockConfig) -> np.ndarray:
     """Two identical uncorrelated thermal modes with variance ``mu``."""
-    return np.diag(_thermal_pair_diag(mu, config))
+    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
+    return np.diag(np.outer(single, single).ravel())
 
 
-def _correlated_blocks(mu: float, config: FockConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs ``(rows, A_k)`` with ``rho = sum_k A_k A_k^H`` over ``k = 0..3``.
-
-    ``rows`` are the two-mode basis indices with ``(n1 + n2) % 4 == k``.  The
-    node grid is invariant under ``alpha -> i alpha`` with equal weights, and
-    ``|i alpha, i alpha> = i**(n1 + n2) |alpha, alpha>``, so the four pairs of
-    an orbit sum to four times the block-diagonal part of one of them.  The
-    columns of ``A_k`` are the coherent pairs of one representative per orbit
-    (``Re alpha > 0, Im alpha >= 0``, plus the origin of an odd node count,
-    an orbit of size 1) restricted to ``rows`` and scaled by
-    ``sqrt(orbit size * weight)``; the trace of the correlated state is
-    ``sum_k ||A_k||_F^2``.
-    """
-    mu = check_mu(mu)
-    cutoff, nodes = config.cutoff, config.modulation_nodes
-    # hermegauss symmetrises nodes and weights, so the orbits are exact
+@functools.lru_cache(maxsize=16)
+def _modulation_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights (summing to 1), read-only and exactly symmetric."""
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
-    amp = math.sqrt((mu - 1.0) / 4.0) * t
-    re, im, origin = t > 0.0, t >= 0.0, t == 0.0
-    alphas = np.concatenate([(amp[re, None] + 1j * amp[im]).ravel(), amp[origin]])
-    scale = np.concatenate([4.0 * np.outer(w[re], w[im]).ravel(), w[origin] ** 2])
-    single = coherent_state(alphas, cutoff)
-    pairs = (single[:, None, :] * single[None, :, :]).reshape(cutoff * cutoff, -1)
-    pairs *= np.sqrt(scale)
-    _check_trace(float(np.vdot(pairs, pairs).real), "correlated state", config)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``M``, each box state's sector ``N`` and its entry ``v_N(n1)`` of ``V``: ``rho = V M V^T``.
+
+    The pair ``|alpha, alpha>`` has amplitude ``e^(-|alpha|^2) alpha^N /
+    sqrt(n1! n2!)``, so in the box it is ``sqrt(share[N]) <N|sqrt(2) alpha>``
+    times ``v_N = sqrt(binom / share[N])``, with ``binom`` Binomial(N, 1/2) at
+    ``n1`` and ``share[N]`` its mass in the box.  So ``M = (B B^H).real`` with
+    ``B[N, j] = sqrt(share[N] w_j) <N|sqrt(2) alpha_j>``; nodes related by
+    ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero.
+    """
+    mu = check_mu(mu)
+    cutoff = config.cutoff
     n = np.arange(cutoff)
-    block = ((n[:, None] + n) % 4).ravel()
-    return [(rows, pairs[rows]) for rows in (np.flatnonzero(block == k) for k in range(4))]
+    sector = (n[:, None] + n).ravel()
+    # C(N, n1) / 2**N down each column n2 = N - n1, by the factor N / (2 n1)
+    binom = np.cumprod(np.vstack([0.5**n, (n[1:, None] + n) / (2.0 * n[1:, None])]), axis=0)
+    share = np.bincount(sector, binom.ravel())
+    share[:cutoff] = 1.0
+    t, w = _modulation_rule(config.modulation_nodes)
+    amp = math.sqrt((mu - 1.0) / 2.0) * t
+    factor = coherent_state((amp[:, None] + 1j * amp).ravel(), 2 * cutoff - 1)
+    factor *= np.sqrt(np.outer(share, np.outer(w, w)))
+    _check_trace(float(np.vdot(factor, factor).real), "correlated state", config)
+    factor = np.concatenate([factor.real, factor.imag], axis=1)
+    sectors = np.zeros((2 * cutoff - 1,) * 2)
+    for k in range(4):
+        sectors[k::4, k::4] = factor[k::4] @ factor[k::4].T
+    return sectors, sector, np.sqrt(binom.ravel() / share[sector])
 
 
 def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
@@ -164,11 +167,10 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     covariance matrix is the symmetric normal form with correlations
     ``mu - 1`` on both quadratures.
     """
-    dim = config.cutoff**2
-    rho = np.zeros((dim, dim))
-    for rows, factor in _correlated_blocks(mu, config):
-        # conjugate node pairs carry equal weight, so every block is real
-        rho[np.ix_(rows, rows)] = (factor @ factor.conj().T).real
+    sectors, sector, embed = _sector_form(mu, config)
+    # rho[x, y] = v(x) M[N(x), N(y)] v(y), with one dense temporary
+    rho = (sectors[sector] * embed[:, None])[:, sector]
+    rho *= embed
     return rho
 
 
@@ -186,14 +188,21 @@ def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     mean = check_displacement(mean, "quadrature mean")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
     thermal = np.diag(build_thermal(n_bar, config))
-    a = destroy(2 * cutoff)
-    positions, basis = checked_eigh(a + a.T)
-    kept = basis[:cutoff]
+    positions, kept = _position_spectrum(config.cutoff)
     op = (kept * np.exp(-1j * abs(alpha) * positions)) @ kept.T
     phases = np.exp(1j * (np.angle(alpha) + np.pi / 2.0) * np.arange(cutoff))
     rho = np.outer(phases, phases.conj()) * ((op * thermal) @ op.conj().T)
     _check_trace(float(np.trace(rho).real), "displaced thermal state", config)
     return rho
+
+
+@functools.lru_cache(maxsize=8)
+def _position_spectrum(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of ``a + a^dag`` on twice the cutoff, eigenvectors cut back; read-only."""
+    a = destroy(2 * cutoff)
+    positions, basis = checked_eigh(a + a.T)
+    positions.flags.writeable = basis.flags.writeable = False
+    return positions, basis[:cutoff]
 
 
 def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,25 +240,18 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, float]:
     """Oracle overlaps of the encoded pair for several orders at one cutoff.
 
-    The correlated state is block diagonal (:func:`_correlated_blocks`): the
-    nonzero spectrum of each block is that of the Gram matrix ``A_k^H A_k`` of
-    its factor, and ``A_k X / sqrt(lambda)`` are the matching eigenvectors, at
-    O(dim nodes**4 / 16) instead of the O(dim**3) of a dense
-    eigendecomposition.  The spectra are shared across all requested orders;
-    the uncorrelated state is diagonal, so each order costs one
-    matrix-vector contraction per block.
+    With ``rho = V M V^T`` (:func:`_sector_form`) and the uncorrelated state
+    ``D_N`` on each sector, ``Tr(D^s rho^(1-s)) = sum_N D_N^s [M^(1-s)]_NN``:
+    four real ``eigh`` calls of about ``cutoff / 2`` rows serve every order.
     """
     orders = [float(check_order(s)) for s in s_values]
-    thermal_diag = _thermal_pair_diag(mu, config)
-    spectra = []
-    for rows, factor in _correlated_blocks(mu, config):
-        eigvals, eigvecs = _checked_spectrum(factor.conj().T @ factor)
-        kept = eigvals > 0.0
-        eigvals = eigvals[kept]
-        weights = np.abs(factor @ (eigvecs[:, kept] / np.sqrt(eigvals))) ** 2
-        spectra.append((thermal_diag[rows], eigvals, weights))
+    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
+    # D_N at the box state (0, N) for N < cutoff, then at (cutoff - 1, N - cutoff + 1)
+    thermal = np.concatenate([single[0] * single, single[-1] * single[1:]])
+    sectors = _sector_form(mu, config)[0]
+    spectra = [(thermal[k::4], *_checked_spectrum(sectors[k::4, k::4])) for k in range(4)]
     return {
-        s: float(sum(diag**s @ (weights @ lam ** (1.0 - s)) for diag, lam, weights in spectra))
+        s: float(sum(diag**s @ (vecs**2 @ lam ** (1.0 - s)) for diag, lam, vecs in spectra))
         for s in orders
     }
 
@@ -262,10 +264,7 @@ def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, 
     doubled-cutoff values.
     """
     coarse = s_overlap_curve(mu, s_values, config)
-    fine_config = FockConfig(
-        2 * config.cutoff, config.modulation_nodes, config.convergence_tol
-    )
-    fine = s_overlap_curve(mu, s_values, fine_config)
+    fine = s_overlap_curve(mu, s_values, replace(config, cutoff=2 * config.cutoff))
     for s, value in fine.items():
         drift = abs(value - coarse[s])
         if drift >= DOUBLING_TOL:

@@ -122,9 +122,14 @@ def _written_out_mixture(mu, config):
     return pairs @ pairs.conj().T
 
 
-@pytest.mark.parametrize("nodes", [8, 9, 16, 17])
-def test_correlated_state_matches_written_out_mixture(nodes):
-    config = FockConfig(14, nodes)
+@pytest.mark.parametrize(
+    "nodes, cutoff",
+    [pytest.param(nodes, 14, id=f"{nodes}") for nodes in (8, 9, 16, 17)]
+    # a box whose corner sectors N >= cutoff hold a visible share of the state
+    + [pytest.param(9, 13, id="9-cutoff13")],
+)
+def test_correlated_state_matches_written_out_mixture(nodes, cutoff):
+    config = FockConfig(cutoff, nodes)
     rho = build_correlated(1.9, config)
     assert np.abs(rho - _written_out_mixture(1.9, config)).max() < 1e-14
 
@@ -230,7 +235,10 @@ def _dense_s_overlap_curve(mu, s_values, config):
 @pytest.mark.parametrize(
     "mu, config",
     [pytest.param(mu, FockConfig(40, 16), id=f"{mu}") for mu in (1.1, 1.8, 2.45)]
-    + [pytest.param(mu, FockConfig(20, 9), id=f"{mu}-odd") for mu in (1.1, 1.8, 2.45)],
+    + [pytest.param(mu, FockConfig(20, 9), id=f"{mu}-odd") for mu in (1.1, 1.8, 2.45)]
+    # a box that cuts off a visible share of the sectors N >= cutoff, and the vacuum pair
+    + [pytest.param(2.45, FockConfig(13, 9, convergence_tol=1e-2), id="2.45-cutoff13")]
+    + [pytest.param(1.0, FockConfig(20, 16), id="1.0")],
 )
 def test_low_rank_curve_matches_dense_spectrum(mu, config):
     curve = s_overlap_curve(mu, [0.1, 0.9], config)
@@ -303,6 +311,21 @@ def test_displacement_past_the_cutoff_loses_trace(n_bar):
     # mean photon number 36 at cutoff 20: the displacement must not wrap around
     with pytest.raises(ConvergenceError):
         displaced_thermal(n_bar, (12.0, 0.0), 20)
+
+
+def test_cached_rules_are_read_only_and_rebuild_identically():
+    def hexes(rho):
+        return [x.hex() for x in rho.view(float).ravel().tolist()]
+
+    cached = displaced_thermal(0.3, (0.4, -1.1), 20)
+    curve = s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16))
+    for array in (*fock._modulation_rule(16), *fock._position_spectrum(20)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    fock._modulation_rule.cache_clear()
+    fock._position_spectrum.cache_clear()
+    assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)
+    assert s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16)) == curve
 
 
 @pytest.mark.parametrize(
