@@ -12,14 +12,12 @@ mixture of identical coherent pairs, which certifies its separability by
 construction; with the displacement variance chosen below its covariance
 matrix is the symmetric normal form with correlations at the separable edge.
 
-Both modes of a pair carry the same ``alpha``, so inside the ``cutoff x
-cutoff`` box its part on each sector ``N = n1 + n2`` is a multiple of one fixed
-unit vector ``v_N``, and the thermal pair is constant there.  So ``rho = V M
-V^T`` exactly, with ``M`` of order ``2 cutoff - 1`` and block diagonal in ``N
+Both modes of a pair carry the same ``alpha``, so ``rho = V M V^T`` exactly
+(:func:`_sector_form`), with ``M`` of order ``2 cutoff - 1``, built from the
+half of the node grid with ``Im alpha <= 0`` and block diagonal in ``(n1 + n2)
 mod 4``: the overlaps take their spectrum from four real blocks of about
-``cutoff / 2`` rows, at O(cutoff**2 nodes**2) instead of the O(cutoff**6) of a
-dense eigendecomposition; two-mode moments use partial traces and two pairwise
-tensor contractions instead of Kronecker-product operators.
+``cutoff / 2`` rows instead of a dense eigendecomposition, and the moments are
+weighted sums along the few bands of ``rho`` that ladder products fill.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ def coherent_state(alpha: complex | np.ndarray, cutoff: int) -> np.ndarray:
         raise DomainError(f"coherent amplitude must be finite, got {alpha}")
     amps = np.empty((cutoff,) + alpha.shape, complex)
     amps[0] = np.exp(-np.abs(alpha) ** 2 / 2.0)
-    steps = np.sqrt(np.arange(1.0, cutoff)).reshape((-1,) + (1,) * alpha.ndim)
-    amps[1:] = amps[0] * np.cumprod(alpha / steps, axis=0)
+    inverse_steps = 1.0 / np.sqrt(np.arange(1.0, cutoff)).reshape((-1,) + (1,) * alpha.ndim)
+    amps[1:] = amps[0] * np.cumprod(alpha * inverse_steps, axis=0)
     return amps
 
 
@@ -136,6 +134,7 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     ``n1`` and ``share[N]`` its mass in the box.  So ``M = (B B^H).real`` with
     ``B[N, j] = sqrt(share[N] w_j) <N|sqrt(2) alpha_j>``; nodes related by
     ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero.
+    A conjugate node adds alike to the real ``M``: ``t_j > 0`` folds onto ``t_j < 0``.
     """
     mu = check_mu(mu)
     cutoff = config.cutoff
@@ -146,9 +145,9 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     share = np.bincount(sector, binom.ravel())
     share[:cutoff] = 1.0
     t, w = _modulation_rule(config.modulation_nodes)
-    amp = math.sqrt((mu - 1.0) / 2.0) * t
-    factor = coherent_state((amp[:, None] + 1j * amp).ravel(), 2 * cutoff - 1)
-    factor *= np.sqrt(np.outer(share, np.outer(w, w)))
+    amp, keep = math.sqrt((mu - 1.0) / 2.0) * t, t <= 0.0
+    factor = coherent_state((amp[:, None] + 1j * amp[keep]).ravel(), 2 * cutoff - 1)
+    factor *= np.sqrt(np.outer(share, np.outer(w, np.where(t < 0.0, 2.0, 1.0)[keep] * w[keep])))
     _check_trace(float(np.vdot(factor, factor).real), "correlated state", config)
     factor = np.concatenate([factor.real, factor.imag], axis=1)
     sectors = np.zeros((2 * cutoff - 1,) * 2)
@@ -277,36 +276,41 @@ def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, 
 def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix extracted from a Fock-basis state.
 
-    Uses ``x = a + a^dag`` and ``p = -i (a - a^dag)`` so the vacuum
-    covariance is the identity.  A two-mode state is never multiplied by a
-    Kronecker product: the single-mode blocks come from the partial traces
-    and the cross-mode block from two pairwise contractions of ``rho`` as a
-    ``cutoff**4`` tensor, one operator at a time, at O(dim**2).
+    Uses ``x = a + a^dag`` and ``p = -i (a - a^dag)`` so the vacuum covariance
+    is the identity.  A truncated ladder product ``L`` fills one band, so ``<L>``
+    and ``<L^dag>`` are weighted sums along it below and above the diagonal.
     """
-    if n_modes == 1:
-        reduced = [rho]
-    elif n_modes == 2:
-        reduced = [partial_trace(rho, 0), partial_trace(rho, 1)]
-    else:
+    if n_modes not in (1, 2):
         raise DomainError("only one- and two-mode states are supported")
-    cutoff = reduced[0].shape[0]
-    a = destroy(cutoff)
-    ops = [a + a.T, -1j * (a - a.T)]
-    if n_modes == 1:
-        return _one_mode_moments(rho, ops)
-    (mean_0, cm_0), (mean_1, cm_1) = (_one_mode_moments(r, ops) for r in reduced)
-    # Tr(rho (A x B)) for A, B in (x, p); operators on different modes commute
-    joint = np.einsum(
-        "ijkl,aki,blj->ab", rho.reshape((cutoff,) * 4), ops, ops, optimize=True
-    ).real
-    cross = joint - np.outer(mean_0, mean_1)
-    return np.concatenate([mean_0, mean_1]), np.block([[cm_0, cross], [cross.T, cm_1]])
+    dim = rho.shape[0]
+    cutoff = math.isqrt(dim) if n_modes == 2 else dim
+    if cutoff**n_modes != dim:
+        raise DomainError(f"dimension {dim} is not a square")
 
+    def band(offset: int, weight: np.ndarray) -> list:
+        # <L>, <L^dag> for the L with entries ``weight`` on the band ``offset`` above the diagonal
+        return [(rho.diagonal(k) * weight[: dim - offset]).sum() for k in (-offset, offset)]
 
-def _one_mode_moments(rho: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
+    first, second = [], []
+    for stride in (cutoff, 1)[2 - n_modes :]:
+        level = np.arange(dim) // stride % cutoff
+        rise = np.sqrt(np.where(level < cutoff - 1, level + 1.0, 0.0))  # <n|a|n+1>
+        first += band(stride, rise)
+        lowered, raised = band(2 * stride, rise[:-stride] * rise[stride:])
+        # (a a^dag + a^dag a) / 2, whose first term is 0 on the top level
+        middle = (rho.diagonal() * (0.5 * (rise**2 + level))).sum()
+        second.append(np.array([[lowered, middle], [middle, raised]]))
+    if n_modes == 2:
+        # a (x) a on the band cutoff + 1 and a (x) a^dag on cutoff - 1, with their adjoints
+        n_0, n_1 = divmod(np.arange(dim), cutoff)
+        both = band(cutoff + 1, np.sqrt((n_0 + 1.0) * (n_1 + 1) * (n_1 < cutoff - 1)))
+        mixed = band(cutoff - 1, np.sqrt((n_0 + 1.0) * n_1))
+        cross = np.array([[both[0], mixed[0]], [mixed[1], both[1]]])
+        second = [[second[0], cross], [cross.T, second[1]]]
+    quadratures = np.kron(np.eye(n_modes), [[1.0, 1.0], [-1j, 1j]])
+    mean = (quadratures @ first).real
     # Tr(rho A_i A_j) for every pair; the covariance is its symmetric part
-    pairs = np.einsum("ki,aij,bjk->ab", rho, ops, ops, optimize=True).real
-    mean = np.einsum("ki,aik->a", rho, ops).real
+    pairs = (quadratures @ np.block(second) @ quadratures.T).real
     return mean, 0.5 * (pairs + pairs.T) - np.outer(mean, mean)
 
 

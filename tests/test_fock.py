@@ -238,7 +238,9 @@ def _dense_s_overlap_curve(mu, s_values, config):
     + [pytest.param(mu, FockConfig(20, 9), id=f"{mu}-odd") for mu in (1.1, 1.8, 2.45)]
     # a box that cuts off a visible share of the sectors N >= cutoff, and the vacuum pair
     + [pytest.param(2.45, FockConfig(13, 9, convergence_tol=1e-2), id="2.45-cutoff13")]
-    + [pytest.param(1.0, FockConfig(20, 16), id="1.0")],
+    + [pytest.param(1.0, FockConfig(20, 16), id="1.0")]
+    # odd node counts, whose self-conjugate middle row keeps its single weight
+    + [pytest.param(1.9, FockConfig(14, nodes), id=f"1.9-nodes{nodes}") for nodes in (9, 17)],
 )
 def test_low_rank_curve_matches_dense_spectrum(mu, config):
     curve = s_overlap_curve(mu, [0.1, 0.9], config)
@@ -273,7 +275,7 @@ def _kronecker_moments(rho, n_modes):
     return mean, cm - np.outer(mean, mean)
 
 
-@pytest.mark.parametrize("dim, n_modes", [(36, 2), (9, 1)])
+@pytest.mark.parametrize("dim, n_modes", [(36, 2), (9, 1), (400, 2)])
 def test_moments_match_kronecker_definition_on_random_states(dim, n_modes):
     rng = np.random.default_rng(dim)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -289,6 +291,40 @@ def test_moments_match_kronecker_definition_on_correlated_state():
     rho = build_correlated(1.8, FockConfig(12, 10))
     for got, ref in zip(quadrature_moments(rho, 2), _kronecker_moments(rho, 2)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_moments_match_kronecker_definition_at_the_oracle_cutoff():
+    # real and symmetric, with the odd node count's middle row
+    rho = build_correlated(2.45, FockConfig(20, 17))
+    for got, ref in zip(quadrature_moments(rho, 2), _kronecker_moments(rho, 2)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_moments_keep_the_truncated_top_level(n_modes):
+    # on the last level the truncated a a^dag is 0, not cutoff, and a cannot raise
+    cutoff = 6
+    top = np.zeros((cutoff,) * n_modes)
+    top[(-1,) * n_modes] = 1.0
+    mean, cm = quadrature_moments(np.diag(top.ravel()), n_modes)
+    np.testing.assert_array_equal(mean, np.zeros(2 * n_modes))
+    np.testing.assert_allclose(cm, (cutoff - 1.0) * np.eye(2 * n_modes), rtol=0, atol=1e-12)
+    # a superposition of the top three levels of each mode, correlated across the modes
+    rng = np.random.default_rng(6)
+    corner = rng.standard_normal((2,) + (3,) * n_modes)
+    psi = np.zeros((cutoff,) * n_modes, complex)
+    psi[(slice(-3, None),) * n_modes] = corner[0] + 1j * corner[1]
+    psi = psi.ravel() / np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    for got, ref in zip(quadrature_moments(rho, n_modes), _kronecker_moments(rho, n_modes)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_moments_reject_unsupported_shapes():
+    with pytest.raises(DomainError, match="^only one- and two-mode states are supported"):
+        quadrature_moments(np.eye(16) / 16.0, 3)
+    with pytest.raises(DomainError, match="^dimension 10 is not a square$"):
+        quadrature_moments(np.eye(10) / 10.0, 2)
 
 
 @pytest.mark.parametrize("n_bar, mean", [(0.3, (0.4, -1.1)), (1.2, (2.0, 0.5)), (0.05, (-3.0, 2.5))])
