@@ -15,6 +15,7 @@ from .errors import DomainError, NumericalError, check_mu
 
 _BISECTION_HI = 1e12  # delta_d is numerically indistinguishable from 1 here
 _BISECTION_TOL = 1e-10  # on delta_d
+_ROOT_GRID = np.linspace(0.0, 1.0, 32)  # per step of mu_from_delta_d's search
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -83,31 +84,32 @@ def delta_d(mu: float) -> float:
 
 
 def mu_from_delta_d(target: float) -> float:
-    """Invert :func:`delta_d` by bisection on ``mu in [1, 1e12]``.
+    """Invert :func:`delta_d` by a bracketed search on ``mu in [1, 1e12]``.
 
     Valid for ``0 <= target < 1``; relies on the monotonicity of the discord
-    in ``mu``.  Stops once the discord is within 1e-10 of the target or the
-    bracket is a few ulps wide.
+    in ``mu``.  Each step evaluates 32 geometrically spaced points of the
+    bracket at once.  Stops at a point within 1e-10 of the target or once
+    the bracket is a few ulps wide.
     """
     if not 0.0 <= target < 1.0:
         raise DomainError(f"discord target must lie in [0, 1), got {target}")
     if target == 0.0:
         return 1.0
     lo, hi = 1.0, _BISECTION_HI
-    if delta_d(hi) < target:
-        raise DomainError(f"target {target} not reachable below mu = {hi:g}")
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = delta_d(mid)
-        if abs(val - target) <= _BISECTION_TOL:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
+        mu = lo * (hi / lo) ** _ROOT_GRID
+        mu[-1] = hi
+        val = correlations(mu)[1]
+        if val[-1] < target:
+            raise DomainError(f"target {target} not reachable below mu = {hi:g}")
+        close = np.abs(val - target) <= _BISECTION_TOL
+        if close.any():
+            return float(mu[np.argmax(close)])
+        above = np.argmax(val >= target)  # >= 1, as val[0] < target <= val[-1]
+        lo, hi = mu[above - 1 : above + 1].tolist()
         if hi - lo <= 4.0 * math.ulp(lo):
-            return mid
-    raise NumericalError("bisection for mu did not reach the requested tolerance")
+            return 0.5 * (lo + hi)
+    raise NumericalError("bracketed search for mu did not reach the requested tolerance")
 
 
 def info_bounds(p_upper: float, p_lower: float) -> tuple[float, float]:

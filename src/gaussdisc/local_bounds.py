@@ -76,10 +76,11 @@ class GaussianPovm:
         return self.eta * rot @ np.diag([self.lam, 1.0 / self.lam]) @ rot.T
 
 
-#: a scan evaluates the grid, then the two difference points, as one stack of
-#: rank-1 seed covariances
+#: a scan evaluates the grid, then the two difference points, as one batch of
+#: rank-1 seeds, each given by its eigenvalues ``(lam, 1/lam)``
 _SCAN_LAMBDAS = np.append(LAMBDA_SCAN_GRID, [1.0 + _DERIVATIVE_STEP, 1.0 - _DERIVATIVE_STEP])
-_SCAN_SEEDS = np.array([GaussianPovm(1.0, 0.0, lam).covariance() for lam in _SCAN_LAMBDAS])
+_SCAN_SEEDS = np.array([_SCAN_LAMBDAS, 1.0 / _SCAN_LAMBDAS])
+
 
 @dataclass(frozen=True)
 class ConditionalPreparation:
@@ -105,15 +106,16 @@ def condition_on_povm(mu: float, g: float, povm: GaussianPovm) -> ConditionalPre
     """
     mu = check_mu(mu)
     check_correlation(mu, g)
-    v_cond, v_mod = _condition(mu, g, povm.covariance())
+    v_mod = g * g * np.linalg.inv(mu * np.eye(2) + povm.covariance())
     gain = math.sqrt(2.0) * g / (mu + 1.0) if povm.is_heterodyne else None
-    return ConditionalPreparation(v_cond=v_cond, v_mod=v_mod, outcome_gain=gain)
+    return ConditionalPreparation(v_cond=mu * np.eye(2) - v_mod, v_mod=v_mod, outcome_gain=gain)
 
 
-def _condition(mu, g, v_seed):
-    """``(v_cond, v_mod)`` for one seed covariance or a stack ``(n, 2, 2)``; unchecked."""
-    v_mod = g * g * np.linalg.inv(mu * np.eye(2) + v_seed)
-    return mu * np.eye(2) - v_mod, v_mod
+def _spectra(mu, g, seed):
+    """Eigenvalues ``(c, m)``, each ``(2, n)``, of ``v_cond`` and ``v_mod`` from the
+    seed's ``(eta lam, eta / lam)``; unchecked.  All three share eigenvectors."""
+    m = g * g * (1.0 / (mu + seed))
+    return mu - m, m
 
 
 def heterodyne_epsilon(mu: float) -> float:
@@ -140,22 +142,24 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
 
     For conditional covariance ``V_c = nu S S^T`` the overlap reads
     ``2 G_s(mu) G_(1-s)(nu) / sqrt(det(Sigma_s + V_mod))`` with
-    ``Sigma_s = L_s(mu) I + L_(1-s)(nu) S S^T``; ``S S^T`` is just
-    ``V_c / nu``, so no explicit diagonalization is needed.
+    ``Sigma_s = L_s(mu) I + L_(1-s)(nu) S S^T``.  All three share the seed's
+    eigenvectors, so the eigenvalues ``c_k`` of ``V_c`` and ``m_k`` of
+    ``V_mod`` give ``nu^2 = c_0 c_1`` and ``det = prod_k (Sigma_k + m_k)``.
     """
     mu = check_mu(mu)
-    prep = condition_on_povm(mu, mu - 1.0 if g is None else g, povm)
-    return float(_overlap_local(mu, s, prep.v_cond[None], prep.v_mod[None])[0])
+    g = check_correlation(mu, mu - 1.0 if g is None else g)
+    seed = np.array([[povm.eta * povm.lam], [povm.eta / povm.lam]])
+    return float(_overlap_local(mu, s, *_spectra(mu, g, seed))[0])
 
 
-def _overlap_local(mu, s, v_cond, v_mod):
-    """:func:`s_overlap_local` over a stack ``(n, 2, 2)``; a matrix route, not the closed form."""
-    nu = np.sqrt(np.linalg.det(v_cond))
+def _overlap_local(mu, s, c, m):
+    """:func:`s_overlap_local` over a batch of eigenvalue pairs ``(2, n)``."""
+    nu = np.sqrt(c[0] * c[1])
     _check_weight_args(s, nu)
     g_mu, lam_mu = overlap_weights(s, mu)
     g_nu, lam_nu = overlap_weights(1.0 - s, nu)
-    sigma = lam_mu * np.eye(2) + lam_nu[:, None, None] * (v_cond / nu[:, None, None])
-    return 2.0 * g_mu * g_nu / np.sqrt(np.linalg.det(sigma + v_mod))
+    d = lam_mu + lam_nu * c / nu + m
+    return 2.0 * g_mu * g_nu / np.sqrt(d[0] * d[1])
 
 
 def overlap_heterodyne(mu, s):
@@ -235,13 +239,8 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
     """
     d = np.asarray(mean_diff, float)
     expo = -0.5 * float(d @ np.linalg.solve(v_a + v_b, d))
-    return float(_fidelity_prefactor(v_a, v_b)) * math.exp(expo)
-
-
-def _fidelity_prefactor(v_a, v_b):
-    """``2 / (sqrt(Delta + L) - sqrt(L))`` over covariances or stacks; ``L >= 0``."""
-    lam = np.maximum((np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0), 0.0)
-    return 2.0 / (np.sqrt(np.linalg.det(v_a + v_b) + lam) - np.sqrt(lam))
+    lam = max((np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0), 0.0)
+    return 2.0 / (math.sqrt(np.linalg.det(v_a + v_b) + lam) - math.sqrt(lam)) * math.exp(expo)
 
 
 #: panels of the radial rule on u in [0, 72]; they widen as the e^-u weight
@@ -328,26 +327,19 @@ def _scan(values: np.ndarray, mu: float, g: float, s, label: str) -> OptimalityS
     values, (plus, minus) = values[:-2], values[-2:]
     derivative = float(plus - minus) / (2.0 * _DERIVATIVE_STEP)
     # near mu = 1 the scan is flat to rounding: a tie with lambda = 1 passes
-    min_index = _UNIT_INDEX if values[_UNIT_INDEX] == values.min() else int(np.argmin(values))
-    report = OptimalityScan(
-        mu=mu,
-        g=g,
-        s=s,
-        lambda_grid=LAMBDA_SCAN_GRID.copy(),
-        values=values,
-        min_lambda=float(LAMBDA_SCAN_GRID[min_index]),
-        derivative_at_unit=derivative,
-    )
-    if min_index != _UNIT_INDEX:
+    if values[_UNIT_INDEX] != values.min():
         raise ReportFailure(
-            f"{label}: scan minimum at lambda={report.min_lambda:g}, not 1 "
+            f"{label}: scan minimum at lambda={LAMBDA_SCAN_GRID[np.argmin(values)]:g}, not 1 "
             f"(mu={mu}, g={g}, s={s})"
         )
     if abs(derivative) > _DERIVATIVE_TOL:
         raise ReportFailure(
             f"{label}: derivative at lambda=1 is {derivative:.3e} (mu={mu}, g={g}, s={s})"
         )
-    return report
+    return OptimalityScan(
+        mu=mu, g=g, s=s, lambda_grid=LAMBDA_SCAN_GRID.copy(), values=values,
+        min_lambda=1.0, derivative_at_unit=derivative,
+    )
 
 
 def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalityScan:
@@ -361,7 +353,7 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
     mu = check_mu(mu)
     if not (0.0 < g <= mu - 1.0 and 0.0 < s < 1.0):
         raise DomainError(f"invalid scan point (mu={mu}, g={g}, s={s})")
-    values = _overlap_local(mu, s, *_condition(mu, g, _SCAN_SEEDS))
+    values = _overlap_local(mu, s, *_spectra(mu, g, _SCAN_SEEDS))
     return _scan(values, mu, g, s, "overlap scan")
 
 
@@ -373,6 +365,7 @@ _HERMITE_NODES, _HERMITE_WEIGHTS = (
     _HERMITE_NODES[20:],
     2.0 * _HERMITE_WEIGHTS[20:] / _HERMITE_WEIGHTS.sum(),
 )
+_HERMITE_PAIR_WEIGHTS = np.multiply.outer(_HERMITE_WEIGHTS, _HERMITE_WEIGHTS)
 
 
 def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> float:
@@ -388,25 +381,29 @@ def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> fl
     the order of the summation differs.
     """
     mu = check_mu(mu)
-    prep = condition_on_povm(mu, mu - 1.0 if g is None else g, GaussianPovm(1.0, 0.0, lam))
-    return float(_averaged_fidelity(mu, prep.v_cond[None], prep.v_mod[None])[0])
+    g = check_correlation(mu, mu - 1.0 if g is None else g)
+    lam = GaussianPovm(1.0, 0.0, lam).lam
+    return float(_averaged_fidelity(mu, *_spectra(mu, g, np.array([[lam], [1.0 / lam]])))[0])
 
 
-def _averaged_fidelity(mu, v_cond, v_mod):
-    """:func:`averaged_fidelity_bound` over a stack ``(n, 2, 2)`` of diagonal pairs.
+def _fidelity_integrand(mu, c, m, nodes):
+    """``fidelity_error`` on the grid ``nodes x nodes``, ``(n, k, k)``: the formula
+    of :func:`gaussian_fidelity_one_mode` in the seed's eigenbasis, where the
+    exponent at the displacement ``(sqrt(m_0) t_i, sqrt(m_1) t_j)`` factors."""
+    total = mu + c
+    lam = np.maximum((mu * mu - 1.0) * (c[0] * c[1] - 1.0), 0.0)
+    prefactor = 2.0 / (np.sqrt(total[0] * total[1] + lam) - np.sqrt(lam))
+    decay = np.exp((-0.5 * m / total)[:, :, None] * (nodes * nodes))
+    f = np.einsum("ij,ik->ijk", prefactor[:, None] * decay[0], decay[1])
+    return fidelity_error(f, out=np.empty_like(f))
 
-    Sums over the positive quadrant of the 40 x 40 rule, each 1-D weight
-    doubled: the nodes enter only through ``spread**2``.
-    """
-    v_a = mu * np.eye(2)
-    total = np.diagonal(v_a + v_cond, axis1=1, axis2=2)
-    spread = np.sqrt(np.diagonal(v_mod, axis1=1, axis2=2))[:, :, None] * _HERMITE_NODES
-    q = spread * spread / total[:, :, None]
-    f = _fidelity_prefactor(v_a, v_cond)[:, None, None] * np.exp(
-        -0.5 * (q[:, 0, :, None] + q[:, 1, None, :])
-    )
-    # sums, not matmul: BLAS may round a row differently in stacks of other sizes
-    return ((fidelity_error(f) * _HERMITE_WEIGHTS).sum(axis=2) * _HERMITE_WEIGHTS).sum(axis=1)
+
+def _averaged_fidelity(mu, c, m):
+    """:func:`averaged_fidelity_bound` over eigenvalue pairs ``(2, n)``."""
+    terms = _fidelity_integrand(mu, c, m, _HERMITE_NODES)
+    terms *= _HERMITE_PAIR_WEIGHTS
+    # a sum per row, not matmul: BLAS may round a row differently in other stacks
+    return terms.sum(axis=(1, 2))
 
 
 def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityScan:
@@ -419,5 +416,5 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     """
     mu = check_mu(mu)
     gval = check_correlation(mu, mu - 1.0 if g is None else g)
-    values = _averaged_fidelity(mu, *_condition(mu, gval, _SCAN_SEEDS))
+    values = _averaged_fidelity(mu, *_spectra(mu, gval, _SCAN_SEEDS))
     return _scan(values, mu, gval, None, "fidelity scan")

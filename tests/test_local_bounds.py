@@ -23,14 +23,14 @@ from gaussdisc import (
     verify_fidelity_optimality,
     verify_heterodyne_optimality,
 )
-from gaussdisc.global_bounds import fidelity_error
+from gaussdisc.global_bounds import fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
     _averaged_fidelity,
-    _condition,
-    _fidelity_prefactor,
+    _fidelity_integrand,
     _scan,
+    _spectra,
 )
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -94,6 +94,54 @@ def test_conditioning_complement_identity():
         assert np.linalg.eigvalsh(prep.v_cond).min() > 0.0
         assert math.sqrt(np.linalg.det(prep.v_cond)) >= 1.0 - 1e-12
         assert np.linalg.eigvalsh(prep.v_mod).min() >= -1e-12
+
+
+def _overlap_from_matrices(mu, s, prep):
+    """The overlap of the conditional pair from ``condition_on_povm``'s matrices."""
+    nu = math.sqrt(np.linalg.det(prep.v_cond))
+    g_mu, lam_mu = overlap_weights(s, mu)
+    g_nu, lam_nu = overlap_weights(1.0 - s, nu)
+    sigma = lam_mu * np.eye(2) + lam_nu * prep.v_cond / nu
+    return 2.0 * g_mu * g_nu / math.sqrt(np.linalg.det(sigma + prep.v_mod))
+
+
+def _averaged_fidelity_from_matrices(mu, prep):
+    """The averaged fidelity bound from ``condition_on_povm``'s matrices, with
+    determinants, a matrix exponent and the full 40 x 40 Gauss-Hermite rule."""
+    t, w = np.polynomial.hermite_e.hermegauss(40)
+    w = w / w.sum()
+    v_a, total = mu * np.eye(2), mu * np.eye(2) + prep.v_cond
+    lam = max((np.linalg.det(v_a) - 1.0) * (np.linalg.det(prep.v_cond) - 1.0), 0.0)
+    prefactor = 2.0 / (math.sqrt(np.linalg.det(total) + lam) - math.sqrt(lam))
+    d = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1) * np.sqrt(np.diag(prep.v_mod))
+    exponent = -0.5 * np.einsum("ijk,kl,ijl->ij", d, np.linalg.inv(total), d)
+    return float((fidelity_error(prefactor * np.exp(exponent)) * np.multiply.outer(w, w)).sum())
+
+
+def test_eigenvalue_route_matches_matrix_route():
+    # the overlap and the averaged fidelity are evaluated from the seed's two
+    # eigenvalues; here they are rebuilt from the rotated matrices
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        mu = rng.uniform(1.0, 20.0)
+        g = rng.uniform(-(mu - 1.0), mu - 1.0)
+        povm = GaussianPovm(
+            eta=rng.uniform(1.0, 5.0),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+            lam=math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
+        )
+        s = rng.uniform(0.05, 0.95)
+        reference = _overlap_from_matrices(mu, s, condition_on_povm(mu, g, povm))
+        assert s_overlap_local(mu, s, povm, g=g) == pytest.approx(reference, rel=1e-12, abs=0)
+        # the fidelity bound is defined for rank-1 seeds at angle 0; a rounding
+        # of F by a few ulps moves sqrt(1 - F) by that over 2 sqrt(1 - F), so
+        # the tolerance grows as 1 - F nears 0 at zero displacement
+        prep = condition_on_povm(mu, g, GaussianPovm(1.0, 0.0, povm.lam))
+        f0 = gaussian_fidelity_one_mode(mu * np.eye(2), prep.v_cond, (0.0, 0.0))
+        rel = max(1e-12, 1e-13 / math.sqrt(max(1.0 - f0, 1e-300)))
+        assert averaged_fidelity_bound(mu, povm.lam, g=g) == pytest.approx(
+            _averaged_fidelity_from_matrices(mu, prep), rel=rel, abs=0
+        )
 
 
 def test_conditioning_rejects_excess_correlation():
@@ -321,18 +369,12 @@ def test_hermite_rule_is_exactly_symmetric():
 
 
 def _full_rule_scan(mu, g):
-    """The scan stack averaged over the whole 40 x 40 Gauss-Hermite grid."""
+    """The scan batch averaged over the whole 40 x 40 Gauss-Hermite grid, with
+    the integrand the scans evaluate."""
     t, w = np.polynomial.hermite_e.hermegauss(40)
     w = w / w.sum()
-    v_cond, v_mod = _condition(mu, g, _SCAN_SEEDS)
-    v_a = mu * np.eye(2)
-    total = np.diagonal(v_a + v_cond, axis1=1, axis2=2)
-    spread = np.sqrt(np.diagonal(v_mod, axis1=1, axis2=2))[:, :, None] * t
-    q = spread * spread / total[:, :, None]
-    f = _fidelity_prefactor(v_a, v_cond)[:, None, None] * np.exp(
-        -0.5 * (q[:, 0, :, None] + q[:, 1, None, :])
-    )
-    return ((fidelity_error(f) * w).sum(axis=2) * w).sum(axis=1)
+    terms = _fidelity_integrand(mu, *_spectra(mu, g, _SCAN_SEEDS), t)
+    return ((terms * w).sum(axis=2) * w).sum(axis=1)
 
 
 def test_half_rule_matches_full_rule():
@@ -342,7 +384,7 @@ def test_half_rule_matches_full_rule():
     for mu in mus:
         for g in (mu - 1.0, rng.uniform() * (mu - 1.0)):
             full = _full_rule_scan(mu, g)
-            half = _averaged_fidelity(mu, *_condition(mu, g, _SCAN_SEEDS))
+            half = _averaged_fidelity(mu, *_spectra(mu, g, _SCAN_SEEDS))
             assert np.max(np.abs(half - full) / full) <= 2e-15
             try:
                 _scan(full, mu, g, None, "fidelity scan")
