@@ -106,12 +106,13 @@ def s_overlap_global(mu: float, s: float) -> float:
     return float(overlap_global(np.float64(check_mu(mu)), check_order(s)))
 
 
-def fidelity_error(f, out=None):
+def fidelity_error(f):
     """``(1 - sqrt(1 - F)) / 2``, the error bound from a fidelity ``F``, elementwise.
 
     Written as ``F / (2 (1 + sqrt(1 - F)))``, which does not cancel when
-    ``F`` is small.  Every step runs in ``out`` if given (not ``f`` itself).
+    ``F`` is small.  Every step runs in one work array.
     """
+    out = np.empty_like(f, dtype=float)
     root = np.sqrt(np.maximum(np.subtract(1.0, f, out=out), 0.0, out=out), out=out)
     return np.divide(f, np.multiply(np.add(root, 1.0, out=out), 2.0, out=out), out=out)
 

@@ -239,8 +239,14 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
     """
     d = np.asarray(mean_diff, float)
     expo = -0.5 * float(d @ np.linalg.solve(v_a + v_b, d))
-    lam = max((np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0), 0.0)
-    return 2.0 / (math.sqrt(np.linalg.det(v_a + v_b) + lam) - math.sqrt(lam)) * math.exp(expo)
+    lam = (np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0)
+    return float(_fidelity_prefactor(np.linalg.det(v_a + v_b), lam)) * math.exp(expo)
+
+
+def _fidelity_prefactor(delta, lam):
+    """``2 / (sqrt(Delta + L) - sqrt(L))`` over scalars or arrays, ``L`` clipped at 0."""
+    lam = np.maximum(lam, 0.0)
+    return 2.0 / (np.sqrt(delta + lam) - np.sqrt(lam))
 
 
 #: panels of the radial rule on u in [0, 72]; they widen as the e^-u weight
@@ -391,11 +397,10 @@ def _fidelity_integrand(mu, c, m, nodes):
     of :func:`gaussian_fidelity_one_mode` in the seed's eigenbasis, where the
     exponent at the displacement ``(sqrt(m_0) t_i, sqrt(m_1) t_j)`` factors."""
     total = mu + c
-    lam = np.maximum((mu * mu - 1.0) * (c[0] * c[1] - 1.0), 0.0)
-    prefactor = 2.0 / (np.sqrt(total[0] * total[1] + lam) - np.sqrt(lam))
+    prefactor = _fidelity_prefactor(total[0] * total[1], (mu * mu - 1.0) * (c[0] * c[1] - 1.0))
     decay = np.exp((-0.5 * m / total)[:, :, None] * (nodes * nodes))
     f = np.einsum("ij,ik->ijk", prefactor[:, None] * decay[0], decay[1])
-    return fidelity_error(f, out=np.empty_like(f))
+    return fidelity_error(f)
 
 
 def _averaged_fidelity(mu, c, m):
