@@ -135,16 +135,16 @@ def check_brackets(p_upper: np.ndarray, p_lower: np.ndarray) -> None:
 
 def information(p: np.ndarray) -> np.ndarray:
     """``1 - H(p)`` elementwise over ``[0, 1/2]``, without cancelling near
-    ``p = 1/2``; ``p`` is not checked.
+    ``p = 1/2``; NaN where ``p`` lies outside that range or is NaN.
 
     With ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
     ``(2 d atanh(d) + log1p(-d^2)) / (2 ln 2)``, whose terms are of the size
     of the result; below ``p = 1/4`` the entropy is far enough from 1.
     """
-    out, far = np.empty_like(p), p < 0.25
+    out, far, near = np.full_like(p, np.nan), (0.0 <= p) & (p < 0.25), (0.25 <= p) & (p <= 0.5)
     out[far] = 1.0 - _libm(binary_entropy, p[far])
-    d = 1.0 - 2.0 * p[~far]
-    out[~far] = (2.0 * d * _libm(math.atanh, d) + _libm(math.log1p, -d * d)) / (2.0 * math.log(2.0))
+    d = 1.0 - 2.0 * p[near]
+    out[near] = (2.0 * d * _libm(math.atanh, d) + _libm(math.log1p, -d * d)) / (2.0 * math.log(2.0))
     return out
 
 

@@ -10,7 +10,8 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine (eigensolver, minimizer, quadrature) failed to converge."""
+    """A numerical routine (eigensolver, minimizer, quadrature) failed to converge,
+    or the bounds computed at a valid input break one of their orderings."""
 
 
 class ConvergenceError(RuntimeError):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entropy import check_brackets, correlations, information
-from .errors import check_mu
+from .entropy import correlations, information
+from .errors import NumericalError, check_mu
 from .global_bounds import chernoff_overlap_global, lower_bound_global
 from .local_bounds import chernoff_overlap_local, lower_bound_local
 
@@ -56,8 +56,8 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
 
     Each column comes from the one elementwise function that its scalar API
     is a view of, so a point's values do not depend on the grid around it.
-    The error brackets are not checked here (:func:`report_columns` checks
-    them).  ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``.
+    The orderings are not checked here (:func:`report_columns` checks them).
+    ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``.
     """
     mu = np.array([check_mu(value) for value in mu_grid], dtype=float)
     delta_c, delta_d = correlations(mu)
@@ -81,11 +81,16 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
 
 
 def report_columns(mu_grid) -> dict[str, np.ndarray]:
-    """:func:`evaluate`, with each error bracket checked as :func:`info_bounds`
-    checks it, the global one first."""
-    columns = evaluate(mu_grid)
-    for detector in ("global", "local"):
-        check_brackets(columns[f"p_plus_{detector}"], columns[f"p_minus_{detector}"])
+    """:func:`evaluate`, gated by :func:`column_violations`: the first grid
+    point that breaks an ordering is a :class:`NumericalError` naming its
+    ``mu`` and the labels it fails.  A column that under- or overflows is
+    NaN or infinite and fails the gate without a floating-point warning."""
+    with np.errstate(all="ignore"):
+        columns = evaluate(mu_grid)
+        i, violations = column_violations(columns)
+    if violations:
+        mu = float(columns["mu"][i])
+        raise NumericalError(f"internal invariant violation at mu={mu!r}: " + "; ".join(violations))
     return columns
 
 
@@ -106,14 +111,17 @@ def discrimination_report(mu: float) -> DiscriminationReport:
 
 
 def column_violations(columns: dict[str, np.ndarray]) -> tuple[int, list[str]]:
-    """The first grid point that fails a cross-bound ordering check, each with
-    an absolute slack of 1e-12, and the labels it fails; ``(0, [])`` if none."""
+    """The first grid point that fails an ordering check, and the labels it
+    fails; ``(0, [])`` if none.  The error brackets ``0 <= p_minus <= p_plus
+    <= 1/2`` are strict; the other checks allow an absolute slack of 1e-12."""
     c, slack = columns, 1e-12
     checks = {
-        "p_minus_global <= p_plus_global": c["p_minus_global"] <= c["p_plus_global"] + slack,
-        "p_plus_global <= 1/2": c["p_plus_global"] <= 0.5 + slack,
-        "p_minus_local <= p_plus_local": c["p_minus_local"] <= c["p_plus_local"] + slack,
-        "p_plus_local <= 1/2": c["p_plus_local"] <= 0.5 + slack,
+        "0 <= p_minus_global": 0.0 <= c["p_minus_global"],
+        "p_minus_global <= p_plus_global": c["p_minus_global"] <= c["p_plus_global"],
+        "p_plus_global <= 1/2": c["p_plus_global"] <= 0.5,
+        "0 <= p_minus_local": 0.0 <= c["p_minus_local"],
+        "p_minus_local <= p_plus_local": c["p_minus_local"] <= c["p_plus_local"],
+        "p_plus_local <= 1/2": c["p_plus_local"] <= 0.5,
         "p_plus_global <= p_plus_local": c["p_plus_global"] <= c["p_plus_local"] + slack,
         "p_minus_global <= p_minus_local": c["p_minus_global"] <= c["p_minus_local"] + slack,
         "i_minus_global <= i_plus_global": c["i_minus_global"] <= c["i_plus_global"] + slack,

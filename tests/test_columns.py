@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussdisc import REPORT_FIELDS, DiscriminationReport, cli, entropy, report_violations
+from gaussdisc import REPORT_FIELDS, DiscriminationReport, cli, entropy, report, report_violations
 from gaussdisc.report import column_violations, evaluate
 
 # mu = 1 plus mu - 1 log-uniform in [1e-12, 1e15]
@@ -91,12 +91,15 @@ def test_correlations_reject_overflowing_variances():
 
 
 def row_violations_reference(r, slack=1e-12):
-    """The per-row cross-bound checks, written out one report at a time."""
+    """The per-row ordering checks, written out one report at a time; the
+    error brackets are strict."""
     checks = [
-        (r.p_minus_global <= r.p_plus_global + slack, "p_minus_global <= p_plus_global"),
-        (r.p_plus_global <= 0.5 + slack, "p_plus_global <= 1/2"),
-        (r.p_minus_local <= r.p_plus_local + slack, "p_minus_local <= p_plus_local"),
-        (r.p_plus_local <= 0.5 + slack, "p_plus_local <= 1/2"),
+        (0.0 <= r.p_minus_global, "0 <= p_minus_global"),
+        (r.p_minus_global <= r.p_plus_global, "p_minus_global <= p_plus_global"),
+        (r.p_plus_global <= 0.5, "p_plus_global <= 1/2"),
+        (0.0 <= r.p_minus_local, "0 <= p_minus_local"),
+        (r.p_minus_local <= r.p_plus_local, "p_minus_local <= p_plus_local"),
+        (r.p_plus_local <= 0.5, "p_plus_local <= 1/2"),
         (r.p_plus_global <= r.p_plus_local + slack, "p_plus_global <= p_plus_local"),
         (r.p_minus_global <= r.p_minus_local + slack, "p_minus_global <= p_minus_local"),
         (r.i_minus_global <= r.i_plus_global + slack, "i_minus_global <= i_plus_global"),
@@ -113,9 +116,13 @@ def row_violations_reference(r, slack=1e-12):
 
 # one edit of the mu = 2 row per check (see tests/data/point_mu2.json)
 TAMPERING = [
+    ("p_minus_global", -0.1),
     ("p_minus_global", 0.4),
     ("p_plus_global", 0.6),
+    ("p_minus_local", -0.1),
     ("p_minus_local", 0.48),
+    # caught by the strict bracket alone: 1e-13 is inside the 1e-12 slack
+    ("p_minus_local", 0.4735035224531268 + 1e-13),
     ("p_plus_local", 0.6),
     ("p_plus_global", 0.48),
     ("p_minus_global", 0.42),
@@ -142,12 +149,12 @@ def test_column_violations_match_the_row_checks():
         assert column_violations(columns) == (1, expected)
         assert report_violations(row) == expected
         seen.update(expected)
-    assert len(seen) == 14
+    assert len(seen) == 16
     assert column_violations(evaluate([1.0, 1.5, 2.0, 1e12])) == (0, [])
 
 
 def test_sweep_reports_the_first_failing_row(monkeypatch, tmp_path, capsys):
-    real = cli.report_columns
+    real = report.evaluate
 
     def tampered(grid):
         columns = real(grid)
@@ -155,12 +162,12 @@ def test_sweep_reports_the_first_failing_row(monkeypatch, tmp_path, capsys):
         columns["i_plus_local"][7] = 2.0
         return columns
 
-    monkeypatch.setattr(cli, "report_columns", tampered)
+    monkeypatch.setattr(report, "evaluate", tampered)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--out", str(out)]) == cli.EXIT_INVARIANT
-    mu = cli.sweep_grid(1.001, 1000.0, 200, "log")[3]
+    mu = float(cli.sweep_grid(1.001, 1000.0, 200, "log")[3])
     assert capsys.readouterr().err == (
-        f"internal invariant violation at mu={mu:g}: "
+        f"numerical failure: internal invariant violation at mu={mu!r}: "
         "kappa >= kappa_loc; delta = kappa - kappa_loc\n"
     )
     assert not out.exists()

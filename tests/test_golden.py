@@ -25,14 +25,15 @@ def test_sweep_csv_is_byte_identical(tmp_path, capsys, extra, golden):
 
 
 def test_sweep_bracket_crossing_message(tmp_path, capsys):
-    # just above mu = 1 the local error bracket crosses by rounding
+    # just above mu = 1 the local error bracket crosses by rounding: the
+    # input is valid, so the crossing is an invariant violation
     argv = ["sweep", "--mu-min", "1.000001", "--mu-max", "2", "--points", "5"]
-    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: need 0 <= p_lower <= p_upper <= 1/2, "
-        "got (0.49999999999987493, 0.49999999999999994)\n"
+        "numerical failure: internal invariant violation at mu=1.000001: "
+        "p_minus_local <= p_plus_local\n"
     )
     assert not (tmp_path / "x.csv").exists()
 

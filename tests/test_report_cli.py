@@ -11,6 +11,7 @@ import pytest
 from gaussdisc import (
     REPORT_FIELDS,
     bhattacharyya_global,
+    cli,
     discrimination_report,
     discrimination_reports,
     exponents,
@@ -113,6 +114,22 @@ def test_cli_point_mu_one_has_null_ratio():
     payload = json.loads(proc.stdout)
     assert payload["ratio_db"] is None
     assert payload["p_plus_global"] == 0.5
+
+
+# valid thermal variances from just above 1 to where the closed forms overflow
+VALID_MUS = [1 + 1e-12, 1 + 1e-9, 1.000001, 1.001, 2.0, 1e12, 1e15]
+VALID_MUS += [1e153, 1e250, 1e302, 1e305, 5e307]
+VALID_ARGVS = [["point", "--mu", repr(mu)] for mu in VALID_MUS]
+VALID_ARGVS.append(["sweep", "--mu-min", "1.000001", "--mu-max", "2", "--points", "5"])
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS)
+def test_valid_mu_gives_a_report_or_one_invariant_line(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INVARIANT)
+    err = capsys.readouterr().err
+    assert err == "" or (err.endswith("\n") and err.count("\n") == 1)
 
 
 def test_cli_point_rejects_bad_mu():
