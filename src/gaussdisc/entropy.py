@@ -56,11 +56,15 @@ def binary_entropy(p: float) -> float:
 
 def correlations(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(delta_c, delta_d)`` elementwise over an array of checked ``mu``, each
-    of the three entropies formed once; a derived variance that overflows is
-    a :class:`DomainError`."""
+    of the three entropies formed once.  From ``mu`` about 6e307 on, ``3 mu - 1``
+    overflows (before ``2 mu - 1`` does), which is a :class:`NumericalError`
+    naming the first such ``mu``: the input is valid, its evaluation fails."""
     with np.errstate(over="ignore"):
         x = np.stack([mu, (3.0 * mu - 1.0) / (mu + 1.0), 2.0 * mu - 1.0])
-    check_mu(np.max(x, initial=1.0))
+    overflow = np.isinf(x[1])
+    if overflow.any():
+        first = float(mu[np.argmax(overflow)])
+        raise NumericalError(f"derived variance (3 mu - 1) / (mu + 1) overflows at mu={first!r}")
     h_mu, h_cond, h_twin = thermal_entropy(x)
     return h_mu - h_cond, h_mu - h_twin + h_cond
 

@@ -13,11 +13,12 @@ construction; with the displacement variance chosen below its covariance
 matrix is the symmetric normal form with correlations at the separable edge.
 
 Both modes of a pair carry the same ``alpha``, so ``rho = V M V^T`` exactly
-(:func:`_sector_form`), with ``M`` of order ``2 cutoff - 1``, built from the
-half of the node grid with ``Im alpha <= 0`` and block diagonal in ``(n1 + n2)
-mod 4``: the overlaps take their spectrum from four real blocks of about
-``cutoff / 2`` rows instead of a dense eigendecomposition, and the moments are
-weighted sums along the few bands of ``rho`` that ladder products fill.
+(:func:`_sector_form`), with ``M`` of order ``2 cutoff - 1``, block diagonal in
+``(n1 + n2) mod 4`` and built from one node per orbit of the grid under
+``alpha -> i alpha`` and ``alpha -> alpha^*``: the overlaps take their spectrum
+from four real blocks of about ``cutoff / 2`` rows instead of a dense
+eigendecomposition, and the moments are weighted sums along the few bands of
+``rho`` that ladder products fill, with weights built once per shape.
 """
 
 from __future__ import annotations
@@ -116,13 +117,28 @@ def build_thermal_product(mu: float, config: FockConfig) -> np.ndarray:
     return np.diag(np.outer(single, single).ravel())
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only so that a cached copy cannot be changed."""
+    array.flags.writeable = False
+    return array
+
+
 @functools.lru_cache(maxsize=16)
-def _modulation_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights (summing to 1), read-only and exactly symmetric."""
+def _orbit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One node ``t_i + i t_j`` per orbit of the square Gauss-Hermite grid under
+    ``alpha -> i alpha`` and ``alpha -> alpha^*`` (``t_i <= t_j <= 0``), and the
+    orbit's weight: its size (8, or 4 on the diagonals and the axes, 1 at the
+    origin) times ``w_i w_j``.  The weights sum to 1; read-only.  numpy's rule is
+    exactly symmetric (``t = -t[::-1]``, ``w = w[::-1]``), so every orbit lies on
+    the grid with equal weights."""
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+    half = np.flatnonzero(t <= 0.0)
+    i, j = half[np.array(np.triu_indices(len(half)))]
+    x, y = t[i], t[j]
+    # a sign for each nonzero coordinate, and a swap unless they are equal
+    size = (2 - (x == 0.0)) * (2 - (y == 0.0)) * (2 - (x == y))
+    return _read_only(x + 1j * y), _read_only(size * w[i] * w[j])
 
 
 def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,9 +148,11 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     sqrt(n1! n2!)``, so in the box it is ``sqrt(share[N]) <N|sqrt(2) alpha>``
     times ``v_N = sqrt(binom / share[N])``, with ``binom`` Binomial(N, 1/2) at
     ``n1`` and ``share[N]`` its mass in the box.  So ``M = (B B^H).real`` with
-    ``B[N, j] = sqrt(share[N] w_j) <N|sqrt(2) alpha_j>``; nodes related by
-    ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero.
-    A conjugate node adds alike to the real ``M``: ``t_j > 0`` folds onto ``t_j < 0``.
+    ``B[N, j] = sqrt(share[N] w_j) <N|sqrt(2) alpha_j>``.  Nodes related by
+    ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero,
+    and there, where ``N = N' (mod 4)``, both nodes add the same; a conjugate
+    node adds the same to the real ``M``.  So ``B`` holds one column per orbit
+    of the grid (:func:`_orbit_rule`), weighted by the orbit's size.
     """
     mu = check_mu(mu)
     cutoff = config.cutoff
@@ -144,10 +162,9 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     binom = np.cumprod(np.vstack([0.5**n, (n[1:, None] + n) / (2.0 * n[1:, None])]), axis=0)
     share = np.bincount(sector, binom.ravel())
     share[:cutoff] = 1.0
-    t, w = _modulation_rule(config.modulation_nodes)
-    amp, keep = math.sqrt((mu - 1.0) / 2.0) * t, t <= 0.0
-    factor = coherent_state((amp[:, None] + 1j * amp[keep]).ravel(), 2 * cutoff - 1)
-    factor *= np.sqrt(np.outer(share, np.outer(w, np.where(t < 0.0, 2.0, 1.0)[keep] * w[keep])))
+    grid, weight = _orbit_rule(config.modulation_nodes)
+    factor = coherent_state(math.sqrt((mu - 1.0) / 2.0) * grid, 2 * cutoff - 1)
+    factor *= np.sqrt(np.outer(share, weight))
     _check_trace(float(np.vdot(factor, factor).real), "correlated state", config)
     factor = np.concatenate([factor.real, factor.imag], axis=1)
     sectors = np.zeros((2 * cutoff - 1,) * 2)
@@ -182,13 +199,16 @@ def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     real ``a + a^dag`` on twice the cutoff, cut back: a state that spills past
     the cutoff then shows as lost trace instead of wrapping around.  ``Q``
     commutes with the diagonal thermal state, so it only phases the result.
+    The eigenvectors are real, so the cut-back ``exp(-i |alpha| (a + a^dag))``
+    is formed as two real products, of its cosine and of its sine.
     """
     config = FockConfig(cutoff)
     mean = check_displacement(mean, "quadrature mean")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
     thermal = np.diag(build_thermal(n_bar, config))
     positions, kept = _position_spectrum(config.cutoff)
-    op = (kept * np.exp(-1j * abs(alpha) * positions)) @ kept.T
+    phase = abs(alpha) * positions
+    op = (kept * np.cos(phase)) @ kept.T - 1j * ((kept * np.sin(phase)) @ kept.T)
     phases = np.exp(1j * (np.angle(alpha) + np.pi / 2.0) * np.arange(cutoff))
     rho = np.outer(phases, phases.conj()) * ((op * thermal) @ op.conj().T)
     _check_trace(float(np.trace(rho).real), "displaced thermal state", config)
@@ -200,8 +220,7 @@ def _position_spectrum(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of ``a + a^dag`` on twice the cutoff, eigenvectors cut back; read-only."""
     a = destroy(2 * cutoff)
     positions, basis = checked_eigh(a + a.T)
-    positions.flags.writeable = basis.flags.writeable = False
-    return positions, basis[:cutoff]
+    return _read_only(positions), _read_only(basis[:cutoff])
 
 
 def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,12 +292,42 @@ def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, 
     return fine
 
 
+@functools.lru_cache(maxsize=8)
+def _ladder_weights(cutoff: int, n_modes: int) -> tuple[tuple, tuple, np.ndarray]:
+    """What :func:`quadrature_moments` sums, per shape; every array read-only.
+
+    Per mode, ``(offset, weight)`` of the band of ``a`` and of ``a^2`` and the
+    diagonal weights of ``(a a^dag + a^dag a) / 2``; for two modes, the bands of
+    ``a (x) a`` and ``a (x) a^dag``; and the matrix from ladder to quadrature
+    moments.  Each weight is cut to the length of its band.
+    """
+    dim = cutoff**n_modes
+
+    def band(offset: int, weight: np.ndarray) -> tuple[int, np.ndarray]:
+        return offset, _read_only(weight[: dim - offset])
+
+    modes = []
+    for stride in (cutoff, 1)[2 - n_modes :]:
+        level = np.arange(dim) // stride % cutoff
+        rise = np.sqrt(np.where(level < cutoff - 1, level + 1.0, 0.0))  # <n|a|n+1>
+        # (a a^dag + a^dag a) / 2, whose first term is 0 on the top level
+        middle = _read_only(0.5 * (rise**2 + level))
+        modes.append((band(stride, rise), band(2 * stride, rise[:-stride] * rise[stride:]), middle))
+    cross = ()
+    if n_modes == 2:
+        n_0, n_1 = divmod(np.arange(dim), cutoff)
+        both = np.sqrt((n_0 + 1.0) * (n_1 + 1) * (n_1 < cutoff - 1))
+        cross = (band(cutoff + 1, both), band(cutoff - 1, np.sqrt((n_0 + 1.0) * n_1)))
+    return tuple(modes), cross, _read_only(np.kron(np.eye(n_modes), [[1.0, 1.0], [-1j, 1j]]))
+
+
 def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix extracted from a Fock-basis state.
 
     Uses ``x = a + a^dag`` and ``p = -i (a - a^dag)`` so the vacuum covariance
     is the identity.  A truncated ladder product ``L`` fills one band, so ``<L>``
-    and ``<L^dag>`` are weighted sums along it below and above the diagonal.
+    and ``<L^dag>`` are weighted sums along it below and above the diagonal
+    (:func:`_ladder_weights`).
     """
     if n_modes not in (1, 2):
         raise DomainError("only one- and two-mode states are supported")
@@ -286,28 +335,24 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     cutoff = math.isqrt(dim) if n_modes == 2 else dim
     if cutoff**n_modes != dim:
         raise DomainError(f"dimension {dim} is not a square")
+    # the int, so that n_modes=2.0 behaves the same whatever the cache holds
+    modes, cross, quadratures = _ladder_weights(cutoff, int(n_modes))
 
     def band(offset: int, weight: np.ndarray) -> list:
         # <L>, <L^dag> for the L with entries ``weight`` on the band ``offset`` above the diagonal
-        return [(rho.diagonal(k) * weight[: dim - offset]).sum() for k in (-offset, offset)]
+        return [(rho.diagonal(k) * weight).sum() for k in (-offset, offset)]
 
     first, second = [], []
-    for stride in (cutoff, 1)[2 - n_modes :]:
-        level = np.arange(dim) // stride % cutoff
-        rise = np.sqrt(np.where(level < cutoff - 1, level + 1.0, 0.0))  # <n|a|n+1>
-        first += band(stride, rise)
-        lowered, raised = band(2 * stride, rise[:-stride] * rise[stride:])
-        # (a a^dag + a^dag a) / 2, whose first term is 0 on the top level
-        middle = (rho.diagonal() * (0.5 * (rise**2 + level))).sum()
-        second.append(np.array([[lowered, middle], [middle, raised]]))
-    if n_modes == 2:
+    for rise, square, middle in modes:
+        first += band(*rise)
+        lowered, raised = band(*square)
+        centre = (rho.diagonal() * middle).sum()
+        second.append(np.array([[lowered, centre], [centre, raised]]))
+    if cross:
         # a (x) a on the band cutoff + 1 and a (x) a^dag on cutoff - 1, with their adjoints
-        n_0, n_1 = divmod(np.arange(dim), cutoff)
-        both = band(cutoff + 1, np.sqrt((n_0 + 1.0) * (n_1 + 1) * (n_1 < cutoff - 1)))
-        mixed = band(cutoff - 1, np.sqrt((n_0 + 1.0) * n_1))
-        cross = np.array([[both[0], mixed[0]], [mixed[1], both[1]]])
-        second = [[second[0], cross], [cross.T, second[1]]]
-    quadratures = np.kron(np.eye(n_modes), [[1.0, 1.0], [-1j, 1j]])
+        both, mixed = (band(*c) for c in cross)
+        pair = np.array([[both[0], mixed[0]], [mixed[1], both[1]]])
+        second = [[second[0], pair], [pair.T, second[1]]]
     mean = (quadratures @ first).real
     # Tr(rho A_i A_j) for every pair; the covariance is its symmetric part
     pairs = (quadratures @ np.block(second) @ quadratures.T).real

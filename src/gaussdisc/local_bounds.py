@@ -293,7 +293,7 @@ def lower_bound_local(mu: np.ndarray) -> np.ndarray:
     if failed.any():
         i = int(np.argmax(failed))
         raise NumericalError(
-            f"radial quadrature failed its relative tolerance at mu={mu[i]!r} "
+            f"radial quadrature failed its relative tolerance at mu={float(mu[i])!r} "
             f"(err {abserr[i]:g})"
         )
     # mu = 1: the modulation is a point mass at a = 0, where F = 2 / den

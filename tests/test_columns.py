@@ -86,8 +86,11 @@ def test_scalar_views_match_the_columns():
 
 
 def test_correlations_reject_overflowing_variances():
-    with pytest.raises(entropy.DomainError, match="got inf"):
-        entropy.correlation_budget(1e308)
+    # a valid mu whose derived variance overflows is a numerical failure, not a usage error
+    for mu in (6e307, 1e308, 1.7e308):
+        with pytest.raises(entropy.NumericalError) as raised:
+            entropy.correlation_budget(mu)
+        assert str(raised.value) == f"derived variance (3 mu - 1) / (mu + 1) overflows at mu={mu!r}"
 
 
 def row_violations_reference(r, slack=1e-12):

@@ -239,7 +239,7 @@ def _dense_s_overlap_curve(mu, s_values, config):
     # a box that cuts off a visible share of the sectors N >= cutoff, and the vacuum pair
     + [pytest.param(2.45, FockConfig(13, 9, convergence_tol=1e-2), id="2.45-cutoff13")]
     + [pytest.param(1.0, FockConfig(20, 16), id="1.0")]
-    # odd node counts, whose self-conjugate middle row keeps its single weight
+    # odd node counts, whose axes and origin are orbits of size 4 and 1
     + [pytest.param(1.9, FockConfig(14, nodes), id=f"1.9-nodes{nodes}") for nodes in (9, 17)],
 )
 def test_low_rank_curve_matches_dense_spectrum(mu, config):
@@ -353,15 +353,52 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     def hexes(rho):
         return [x.hex() for x in rho.view(float).ravel().tolist()]
 
+    def ladder_arrays(cutoff, n_modes):
+        modes, cross, quadratures = fock._ladder_weights(cutoff, n_modes)
+        arrays = [quadratures, *(weight for _, weight in cross)]
+        for (_, rise), (_, square), middle in modes:
+            arrays += [rise, square, middle]
+        return arrays
+
     cached = displaced_thermal(0.3, (0.4, -1.1), 20)
     curve = s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16))
-    for array in (*fock._modulation_rule(16), *fock._position_spectrum(20)):
+    rho = build_correlated(1.6, FockConfig(10, 9))
+    moments = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
+    rules = [*fock._orbit_rule(16), *fock._orbit_rule(9)]
+    rules += [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
+    for array in rules:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    fock._modulation_rule.cache_clear()
-    fock._position_spectrum.cache_clear()
+    for cache in (fock._orbit_rule, fock._position_spectrum, fock._ladder_weights):
+        cache.cache_clear()
     assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)
     assert s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16)) == curve
+    assert hexes(build_correlated(1.6, FockConfig(10, 9))) == hexes(rho)
+    again = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
+    assert [hexes(x) for x in again] == [hexes(x) for x in moments]
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 16, 17])
+def test_orbit_rule_folds_the_grid_once(nodes):
+    # fold each grid node by hand onto -max(|x|, |y|) - i min(|x|, |y|) of its orbit
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    folded = {}
+    for i in range(nodes):
+        for j in range(nodes):
+            low, high = sorted((abs(t[i]), abs(t[j])))
+            size, weight = folded.get((-high, -low), (0, 0.0))
+            folded[(-high, -low)] = (size + 1, weight + w[i] * w[j])
+    grid, weight = fock._orbit_rule(nodes)
+    reps = list(zip(grid.real.tolist(), grid.imag.tolist()))
+    assert sorted(reps) == sorted(folded)
+    # the size each orbit's weight carries, against the count of its nodes
+    sizes = np.rint(weight / (w[np.searchsorted(t, grid.real)] * w[np.searchsorted(t, grid.imag)]))
+    assert sizes.tolist() == [folded[rep][0] for rep in reps]
+    assert sizes.sum() == nodes**2
+    assert set(sizes.tolist()) == ({1, 4, 8} if nodes % 2 else {4, 8})
+    assert np.allclose(weight, [folded[rep][1] for rep in reps], rtol=1e-13, atol=0.0)
+    assert abs(weight.sum() - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from gaussdisc import (
     DomainError,
     GaussianPovm,
+    NumericalError,
     ReportFailure,
     averaged_fidelity_bound,
     bhattacharyya_global,
@@ -286,6 +287,16 @@ def test_p_lower_local_bracket():
         upper = p_upper_local(mu).p_upper
         assert 0.0 < lower <= upper <= 0.5
         assert lower >= bhattacharyya_global(mu).p_lower - 1e-12
+
+
+def test_radial_rule_failure_names_a_plain_mu(monkeypatch):
+    import gaussdisc.local_bounds as lb
+
+    # a check rule with doubled weights puts the error estimate far past the tolerance
+    u, w = lb._RADIAL_CHECK_RULE
+    monkeypatch.setattr(lb, "_RADIAL_CHECK_RULE", (u, 2.0 * w))
+    with pytest.raises(NumericalError, match=r"relative tolerance at mu=1\.05 \(err "):
+        p_lower_local(1.05)
 
 
 def test_submodule_is_not_shadowed():

@@ -116,9 +116,9 @@ def test_cli_point_mu_one_has_null_ratio():
     assert payload["p_plus_global"] == 0.5
 
 
-# valid thermal variances from just above 1 to where the closed forms overflow
+# valid thermal variances from just above 1 to the top of the float range
 VALID_MUS = [1 + 1e-12, 1 + 1e-9, 1.000001, 1.001, 2.0, 1e12, 1e15]
-VALID_MUS += [1e153, 1e250, 1e302, 1e305, 5e307]
+VALID_MUS += [1e153, 1e250, 1e302, 1e305, 5e307, 6e307, 1e308, 1.7e308]
 VALID_ARGVS = [["point", "--mu", repr(mu)] for mu in VALID_MUS]
 VALID_ARGVS.append(["sweep", "--mu-min", "1.000001", "--mu-max", "2", "--points", "5"])
 
