@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .global_bounds import qcb_global
-from .report import evaluate, rows
+from .report import _exponent_columns, rows
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,9 @@ class ExponentReport:
 
 
 def exponents(mu: float) -> ExponentReport:
-    """Error exponents at one thermal variance: a batch of one of :func:`report.evaluate`."""
-    return rows(evaluate([mu]), ExponentReport)[0]
+    """Error exponents at one thermal variance: a batch of one of the exponent
+    columns of :func:`report.evaluate`."""
+    return rows(_exponent_columns([mu]), ExponentReport)[0]
 
 
 def multicopy_p_upper(mu: float, copies: int) -> float:
@@ -66,4 +67,4 @@ def gain_curves(mu_grid) -> list[GainPoint]:
         raise DomainError("grid must be strictly increasing")
     if grid[0] == 1.0:
         raise DomainError("gain curves require mu > 1: the exponent ratio is undefined at mu = 1")
-    return rows(evaluate(grid), GainPoint)
+    return rows(_exponent_columns(grid), GainPoint)

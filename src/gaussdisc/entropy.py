@@ -141,12 +141,18 @@ def information(p: np.ndarray) -> np.ndarray:
     """``1 - H(p)`` elementwise over ``[0, 1/2]``, without cancelling near
     ``p = 1/2``; NaN where ``p`` lies outside that range or is NaN.
 
-    With ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
+    Below ``p = 1/4`` the entropy is far enough from 1, and it is the formula
+    of :func:`binary_entropy`, ``-p log2(p) - q log2(q)`` with ``q = 1 - p``,
+    its two logs in one map of libm's ``log2``; ``p = 0`` gives 1.  With
+    ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
     ``(2 d atanh(d) + log1p(-d^2)) / (2 ln 2)``, whose terms are of the size
-    of the result; below ``p = 1/4`` the entropy is far enough from 1.
+    of the result.
     """
-    out, far, near = np.full_like(p, np.nan), (0.0 <= p) & (p < 0.25), (0.25 <= p) & (p <= 0.5)
-    out[far] = 1.0 - _libm(binary_entropy, p[far])
+    out = np.where(p == 0.0, 1.0, np.nan)
+    far, near = (0.0 < p) & (p < 0.25), (0.25 <= p) & (p <= 0.5)
+    pq = np.array([p[far], 1.0 - p[far]])
+    terms = pq * _libm(math.log2, pq)
+    out[far] = 1.0 - (-terms[0] - terms[1])
     d = 1.0 - 2.0 * p[near]
     out[near] = (2.0 * d * _libm(math.atanh, d) + _libm(math.log1p, -d * d)) / (2.0 * math.log(2.0))
     return out

@@ -156,12 +156,7 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     """
     mu = check_mu(mu)
     cutoff = config.cutoff
-    n = np.arange(cutoff)
-    sector = (n[:, None] + n).ravel()
-    # C(N, n1) / 2**N down each column n2 = N - n1, by the factor N / (2 n1)
-    binom = np.cumprod(np.vstack([0.5**n, (n[1:, None] + n) / (2.0 * n[1:, None])]), axis=0)
-    share = np.bincount(sector, binom.ravel())
-    share[:cutoff] = 1.0
+    sector, share, embed = _sector_weights(cutoff)
     grid, weight = _orbit_rule(config.modulation_nodes)
     factor = coherent_state(math.sqrt((mu - 1.0) / 2.0) * grid, 2 * cutoff - 1)
     factor *= np.sqrt(np.outer(share, weight))
@@ -170,7 +165,22 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     sectors = np.zeros((2 * cutoff - 1,) * 2)
     for k in range(4):
         sectors[k::4, k::4] = factor[k::4] @ factor[k::4].T
-    return sectors, sector, np.sqrt(binom.ravel() / share[sector])
+    return sectors, sector, embed
+
+
+@functools.lru_cache(maxsize=8)
+def _sector_weights(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_sector_form` needs of the box, per cutoff; read-only: each box
+    state's sector ``N``, the box mass ``share[N]`` of Binomial(N, 1/2) (1 below
+    the cutoff) and each box state's entry ``v_N(n1) = sqrt(binom / share[N])``."""
+    n = np.arange(cutoff)
+    sector = (n[:, None] + n).ravel()
+    # C(N, n1) / 2**N down each column n2 = N - n1, by the factor N / (2 n1)
+    binom = np.cumprod(np.vstack([0.5**n, (n[1:, None] + n) / (2.0 * n[1:, None])]), axis=0)
+    share = np.bincount(sector, binom.ravel())
+    share[:cutoff] = 1.0
+    embed = np.sqrt(binom.ravel() / share[sector])
+    return _read_only(sector), _read_only(share), _read_only(embed)
 
 
 def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
@@ -331,6 +341,8 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     """
     if n_modes not in (1, 2):
         raise DomainError("only one- and two-mode states are supported")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DomainError(f"state must be a square matrix, got shape {rho.shape}")
     dim = rho.shape[0]
     cutoff = math.isqrt(dim) if n_modes == 2 else dim
     if cutoff**n_modes != dim:

@@ -59,11 +59,25 @@ def overlap_weights(s, x) -> tuple[np.ndarray, np.ndarray]:
     the gap ``1 - r`` is formed with expm1/log1p, so large ``x`` and ``s``
     near 0 keep full precision.  ``x = 1`` needs no branch, since
     ``log1p(-1) = -inf`` makes the gap exactly 1.  Arguments are not checked.
+    The ``x``-only terms (:func:`_weight_logs`) can be formed once for many ``s``.
     """
+    return _weights_at(s, _weight_logs(x))
+
+
+def _weight_logs(x) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln((x-1)/(x+1)), ln(2/(x+1)))``: the terms of :func:`overlap_weights`
+    that do not depend on ``s``, elementwise; ``x`` is not checked."""
+    scale = 2.0 / (x + 1.0)
     with np.errstate(divide="ignore"):
-        log_ratio = np.log1p(-2.0 / (x + 1.0))
+        log_ratio = np.log1p(-scale)
+    return log_ratio, np.log(scale)
+
+
+def _weights_at(s, logs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`overlap_weights` at orders ``s`` from the :func:`_weight_logs` of ``x``."""
+    log_ratio, log_scale = logs
     gap = -np.expm1(s * log_ratio)
-    return np.exp(s * np.log(2.0 / (x + 1.0))) / gap, (2.0 - gap) / gap
+    return np.exp(s * log_scale) / gap, (2.0 - gap) / gap
 
 
 def s_overlap_two_mode(

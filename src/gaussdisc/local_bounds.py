@@ -20,6 +20,8 @@ from .global_bounds import (
     S_INTERVAL,
     SOverlapResult,
     _check_weight_args,
+    _weight_logs,
+    _weights_at,
     fidelity_error,
     overlap_weights,
 )
@@ -162,12 +164,33 @@ def _overlap_local(mu, s, c, m):
     return 2.0 * g_mu * g_nu / np.sqrt(d[0] * d[1])
 
 
-def overlap_heterodyne(mu, s):
-    """Elementwise :func:`s_overlap_heterodyne` over arrays; ``mu`` is not checked."""
+def _heterodyne_sides(mu):
+    """The ``mu``-only terms of :func:`overlap_heterodyne`: the weight logs of
+    ``x = mu`` and of ``x = 1 + eps`` (:func:`_weight_logs`), stacked on a
+    leading axis, and the shift ``(mu - 1) eps / 2``."""
     eps = _epsilon(mu)
-    g_mu, lam_mu = overlap_weights(s, mu)
-    g_nu, lam_nu = overlap_weights(1.0 - s, 1.0 + eps)
-    return 2.0 * g_mu * g_nu / (lam_mu + lam_nu + (mu - 1.0) * eps / 2.0)
+    return _weight_logs(np.array([mu, 1.0 + eps])), (mu - 1.0) * eps / 2.0
+
+
+def _heterodyne_at(orders, sides):
+    """:func:`overlap_heterodyne` from the orders ``(s, 1 - s)``, stacked on a
+    leading axis, and the :func:`_heterodyne_sides` of ``mu``."""
+    logs, shift = sides
+    g, lam = _weights_at(orders, logs)
+    return 2.0 * g[0] * g[1] / (lam[0] + lam[1] + shift)
+
+
+def overlap_heterodyne(mu, s):
+    """Elementwise :func:`s_overlap_heterodyne` over arrays; ``mu`` is not checked.
+
+    Both weight sides, ``s`` at ``x = mu`` and ``1 - s`` at ``x = 1 + eps``,
+    run as one stacked evaluation: the one that every step of
+    :func:`chernoff_overlap_local` runs.
+    """
+    # the side axis leads, so arrays of two shapes are broadcast to one first
+    if getattr(mu, "shape", ()) != getattr(s, "shape", ()):
+        mu, s = np.broadcast_arrays(mu, s)
+    return _heterodyne_at(np.array([s, 1.0 - s]), _heterodyne_sides(mu))
 
 
 def s_overlap_heterodyne(mu: float, s: float) -> float:
@@ -175,36 +198,49 @@ def s_overlap_heterodyne(mu: float, s: float) -> float:
     return float(overlap_heterodyne(np.float64(check_mu(mu)), check_order(s)))
 
 
-def minimum_over_s(overlap, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``overlap(mu, s)`` over ``S_INTERVAL`` for every ``mu`` at once.
+def minimum_over_s(overlap, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize an overlap over ``S_INTERVAL`` for ``size`` rows at once.
 
-    ``overlap`` is elementwise and log-convex in ``s``, so the minimum over
-    the points of one step lies within one grid interval of the minimizer,
-    and the next step searches the two intervals around it.  The first step
-    evaluates both clip points exactly.  Each row takes the same steps, so an
-    element's result does not depend on the rest of the array.  Returns
+    Each step calls ``overlap(orders)`` once: ``orders`` stacks ``s`` and
+    ``1 - s`` as one ``(2, size, SEARCH_POINTS)`` buffer, which every step
+    refills, and ``overlap`` returns the ``(size, SEARCH_POINTS)`` overlaps
+    at ``s``.  The overlap is elementwise and log-convex in ``s``, so the
+    minimum over the points of one step lies within one grid interval of the
+    minimizer, and the next step searches the two intervals around it.  The
+    first step evaluates both clip points exactly.  Each row takes the same
+    steps, so a row's result does not depend on the other rows.  Returns
     ``(s_star, minimum)``.
     """
-    index = np.arange(mu.shape[0])
-    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
-    s_star, q_min = lo, np.full_like(mu, np.inf)
+    row_start = np.arange(0, size * SEARCH_POINTS, SEARCH_POINTS)
+    orders = np.empty((2, size, SEARCH_POINTS))
+    s = orders[0]
+    lo, hi = np.full(size, S_INTERVAL[0]), np.full(size, S_INTERVAL[1])
+    s_star, q_min = lo, np.full(size, np.inf)
     for _ in range(SEARCH_STEPS):
-        s = lo[:, None] + (hi - lo)[:, None] * _SEARCH_GRID
+        np.multiply((hi - lo)[:, None], _SEARCH_GRID, out=s)
+        s += lo[:, None]
         s[:, -1] = hi
-        q = overlap(mu[:, None], s)
-        best = np.argmin(q, axis=1)
-        q_best = q[index, best]
+        np.subtract(1.0, s, out=orders[1])
+        q = overlap(orders)
+        best = q.argmin(axis=1)
+        # flat indices of each row's best point into q and s
+        flat = row_start + best
+        q_best = q.take(flat)
         better = q_best < q_min
-        s_star = np.where(better, s[index, best], s_star)
+        s_star = np.where(better, s.take(flat), s_star)
         q_min = np.where(better, q_best, q_min)
-        lo = s[index, np.maximum(best - 1, 0)]
-        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
+        lo = s.take(flat - (best > 0))
+        hi = s.take(flat + (best < SEARCH_POINTS - 1))
     return s_star, q_min
 
 
 def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked."""
-    return minimum_over_s(overlap_heterodyne, mu)
+    """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked.
+
+    The ``mu``-only terms of the overlap are formed once, before the search.
+    """
+    sides = _heterodyne_sides(mu[:, None])
+    return minimum_over_s(lambda orders: _heterodyne_at(orders, sides), mu.shape[0])
 
 
 def p_upper_local(mu: float) -> SOverlapResult:
@@ -265,8 +301,13 @@ def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: the 16-node rule gives the value, its gap to the 12-node rule the error
-#: estimate
-_RADIAL_RULE, _RADIAL_CHECK_RULE = _panel_rule(16), _panel_rule(12)
+#: estimate; the two run as one rule, each panel's 16 nodes first
+_RADIAL_SPLIT = 16
+_RADIAL_RULE = tuple(map(np.hstack, zip(_panel_rule(_RADIAL_SPLIT), _panel_rule(12))))
+#: grid points per pass of the radial rule: 110 x 5 x 28 doubles keep each
+#: work array below the 128 KiB from which glibc's malloc maps fresh pages
+#: for it, which costs more than a second pass
+_RADIAL_ROWS = 110
 #: relative tolerance of the radial integral, and the discarded tail beyond u = 72
 _RADIAL_RTOL = 1e-8
 _RADIAL_TAIL = 0.5 * math.exp(-72.0)
@@ -282,10 +323,13 @@ def lower_bound_local(mu: np.ndarray) -> np.ndarray:
     sigma2 = mu - 1.0 - eps
     den = _fidelity_denominator(mu, eps)[:, None, None]
     decay = (eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps)))[:, None, None]
-    panels = []
-    for u, w in (_RADIAL_RULE, _RADIAL_CHECK_RULE):
-        f = 2.0 * np.exp(-decay * u) / den
-        panels.append((fidelity_error(f) * w).sum(axis=-1))
+    u, w = _RADIAL_RULE
+    panels = np.empty((2, mu.shape[0], u.shape[0]))
+    for start in range(0, mu.shape[0], _RADIAL_ROWS):
+        rows = slice(start, start + _RADIAL_ROWS)
+        terms = fidelity_error(2.0 * np.exp(-decay[rows] * u) / den[rows]) * w
+        panels[0, rows] = terms[..., :_RADIAL_SPLIT].sum(axis=-1)
+        panels[1, rows] = terms[..., _RADIAL_SPLIT:].sum(axis=-1)
     value = panels[0].sum(axis=-1)
     abserr = np.abs(panels[0] - panels[1]).sum(axis=-1)
     spread = sigma2 > 0.0

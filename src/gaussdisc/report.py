@@ -51,33 +51,48 @@ class DiscriminationReport:
 REPORT_FIELDS = tuple(field.name for field in fields(DiscriminationReport))
 
 
-def evaluate(mu_grid) -> dict[str, np.ndarray]:
-    """Every ``REPORT_FIELDS`` column, and the exponent ``ratio``, over a grid.
-
-    Each column comes from the one elementwise function that its scalar API
-    is a view of, so a point's values do not depend on the grid around it.
-    The orderings are not checked here (:func:`report_columns` checks them).
-    ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``.
-    """
+def _exponent_columns(mu_grid) -> dict[str, np.ndarray]:
+    """The exponent columns over a grid: ``mu``, the correlations, the
+    Chernoff bounds ``p_plus_*`` and the exponents ``kappa``, ``kappa_loc``,
+    ``delta``, ``ratio`` and ``ratio_db``, which come from the same minimized
+    overlaps.  The exponents and the gain tables are views of them;
+    :func:`evaluate` adds the lower bounds and the information on top."""
     mu = np.array([check_mu(value) for value in mu_grid], dtype=float)
     delta_c, delta_d = correlations(mu)
     q_global, q_local = chernoff_overlap_global(mu), chernoff_overlap_local(mu)[1]
-    p_plus_global, p_minus_global = q_global / 2.0, lower_bound_global(mu)
-    p_plus_local, p_minus_local = q_local / 2.0, lower_bound_local(mu)
     spread = mu > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(spread, -np.log(q_global), 0.0)
         kappa_loc = np.where(spread, -np.log(q_local), 0.0)
         ratio = np.where(spread, kappa / kappa_loc, np.nan)
         ratio_db = 10.0 * np.log10(ratio)
-    # an upper bound on the error gives a lower bound on the information
     return dict(
-        mu=mu, delta_c=delta_c, delta_d=delta_d, p_plus_global=p_plus_global,
-        p_minus_global=p_minus_global, p_plus_local=p_plus_local, p_minus_local=p_minus_local,
+        mu=mu, delta_c=delta_c, delta_d=delta_d, p_plus_global=q_global / 2.0,
+        p_plus_local=q_local / 2.0, kappa=kappa, kappa_loc=kappa_loc, delta=kappa - kappa_loc,
+        ratio=ratio, ratio_db=ratio_db,
+    )
+
+
+def evaluate(mu_grid) -> dict[str, np.ndarray]:
+    """Every ``REPORT_FIELDS`` column, and the exponent ``ratio``, over a grid:
+    :func:`_exponent_columns`, and on top of them the lower bounds and the
+    information columns.
+
+    Each column comes from the one elementwise function that its scalar API
+    is a view of, so a point's values do not depend on the grid around it.
+    The orderings are not checked here (:func:`report_columns` checks them).
+    ``ratio`` and ``ratio_db`` are NaN at ``mu = 1``.
+    """
+    columns = _exponent_columns(mu_grid)
+    mu, p_plus_global, p_plus_local = (columns[k] for k in ("mu", "p_plus_global", "p_plus_local"))
+    p_minus_global, p_minus_local = lower_bound_global(mu), lower_bound_local(mu)
+    # an upper bound on the error gives a lower bound on the information
+    columns.update(
+        p_minus_global=p_minus_global, p_minus_local=p_minus_local,
         i_plus_global=information(p_minus_global), i_minus_global=information(p_plus_global),
         i_plus_local=information(p_minus_local), i_minus_local=information(p_plus_local),
-        kappa=kappa, kappa_loc=kappa_loc, delta=kappa - kappa_loc, ratio=ratio, ratio_db=ratio_db,
     )
+    return {name: columns[name] for name in (*REPORT_FIELDS, "ratio")}
 
 
 def report_columns(mu_grid) -> dict[str, np.ndarray]:

@@ -10,6 +10,7 @@ from gaussdisc import (
     multicopy_p_upper,
     qcb_global,
 )
+from gaussdisc.report import evaluate
 
 
 def test_exponents_vanish_towards_mu_one():
@@ -105,3 +106,19 @@ def test_strict_separation_and_monotone_gap():
         assert row.kappa > row.kappa_loc
         assert row.delta >= previous - 1e-12
         previous = row.delta
+
+
+def test_gain_rows_and_exponents_are_the_evaluate_columns():
+    # both are views of the exponent columns, which evaluate extends
+    rng = np.random.default_rng(41)
+    grid = sorted({*(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 60)), 1.000001, 1e100, 1e300})
+    # the global overlap overflows at mu = 1e300; the views must still agree
+    with np.errstate(all="ignore"):
+        columns, points = evaluate(grid), gain_curves(grid)
+        singles = [(mu, evaluate([mu]), exponents(mu)) for mu in [1.0, *grid[::7], 1e300]]
+    for i, point in enumerate(points):
+        for name, value in vars(point).items():
+            assert value.hex() == float(columns[name][i]).hex(), (name, grid[i])
+    for mu, row, report in singles:
+        for name, value in vars(report).items():
+            assert value.hex() == float(row[name][0]).hex(), (name, mu)

@@ -327,6 +327,12 @@ def test_moments_reject_unsupported_shapes():
         quadrature_moments(np.eye(10) / 10.0, 2)
 
 
+@pytest.mark.parametrize("shape, n_modes", [((16, 20), 2), ((20, 16), 2), ((5, 4), 1), ((16,), 1)])
+def test_moments_reject_non_square_states(shape, n_modes):
+    with pytest.raises(DomainError, match=r"^state must be a square matrix, got shape \("):
+        quadrature_moments(np.ones(shape), n_modes)
+
+
 @pytest.mark.parametrize("n_bar, mean", [(0.3, (0.4, -1.1)), (1.2, (2.0, 0.5)), (0.05, (-3.0, 2.5))])
 def test_displacement_matches_matrix_exponential(n_bar, mean):
     from scipy.linalg import expm
@@ -366,10 +372,12 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     moments = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
     rules = [*fock._orbit_rule(16), *fock._orbit_rule(9)]
     rules += [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
+    rules += [*fock._sector_weights(12), *fock._sector_weights(10)]
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    for cache in (fock._orbit_rule, fock._position_spectrum, fock._ladder_weights):
+    caches = (fock._orbit_rule, fock._position_spectrum, fock._ladder_weights, fock._sector_weights)
+    for cache in caches:
         cache.cache_clear()
     assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)
     assert s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16)) == curve

@@ -161,7 +161,7 @@ def test_log_overlap_slope_matches_finite_difference(mu):
 @given(mu=st.floats(min_value=1.0 + 1e-12, max_value=1e15))
 def test_search_never_beats_the_clip(mu):
     # the bracketed search over s stays as the reference for the global bound
-    q_search = minimum_over_s(overlap_global, np.array([mu]))[1][0]
+    q_search = minimum_over_s(lambda orders: overlap_global(np.array([[mu]]), orders[0]), 1)[1][0]
     q_clip = overlap_global(np.float64(mu), S_INTERVAL[1])
     assert q_search >= q_clip * (1.0 - 16.0 * np.finfo(float).eps)
 

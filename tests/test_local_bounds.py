@@ -24,14 +24,20 @@ from gaussdisc import (
     verify_fidelity_optimality,
     verify_heterodyne_optimality,
 )
-from gaussdisc.global_bounds import fidelity_error, overlap_weights
+from gaussdisc.global_bounds import S_INTERVAL, fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
+    _RADIAL_ROWS,
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
+    SEARCH_POINTS,
+    SEARCH_STEPS,
     _averaged_fidelity,
     _fidelity_integrand,
     _scan,
     _spectra,
+    chernoff_overlap_local,
+    lower_bound_local,
+    overlap_heterodyne,
 )
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -289,12 +295,20 @@ def test_p_lower_local_bracket():
         assert lower >= bhattacharyya_global(mu).p_lower - 1e-12
 
 
+def test_radial_rule_passes_leave_every_point_as_its_batch_of_one():
+    # a long grid runs the radial rule in several passes of rows
+    mus = np.logspace(-9.0, 3.0, 3 * _RADIAL_ROWS + 7) + 1.0
+    batch = lower_bound_local(mus)
+    assert _hexes(batch) == _hexes([p_lower_local(mu) for mu in mus.tolist()])
+
+
 def test_radial_rule_failure_names_a_plain_mu(monkeypatch):
     import gaussdisc.local_bounds as lb
 
     # a check rule with doubled weights puts the error estimate far past the tolerance
-    u, w = lb._RADIAL_CHECK_RULE
-    monkeypatch.setattr(lb, "_RADIAL_CHECK_RULE", (u, 2.0 * w))
+    u, w = lb._RADIAL_RULE
+    value_weights, check_weights = np.hsplit(w, [lb._RADIAL_SPLIT])
+    monkeypatch.setattr(lb, "_RADIAL_RULE", (u, np.hstack([value_weights, 2.0 * check_weights])))
     with pytest.raises(NumericalError, match=r"relative tolerance at mu=1\.05 \(err "):
         p_lower_local(1.05)
 
@@ -419,3 +433,73 @@ def test_half_rule_matches_full_rule():
 def test_bad_correlation_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# The generic route of the local Chernoff search: every step evaluates the
+# heterodyne overlap of the whole (mu, s) grid, each weight side formed from
+# scratch.  The search runs both sides as one stacked kernel with the mu-only
+# terms formed once, and must give exactly these bits.
+EDGE_MUS = [1.0, 1.0 + 1e-12, 1.000001, 2.0, 1e6, 1e12, 1e100, 1e300]
+
+
+def _weights_reference(s, x):
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log1p(-2.0 / (x + 1.0))
+    gap = -np.expm1(s * log_ratio)
+    return np.exp(s * np.log(2.0 / (x + 1.0))) / gap, (2.0 - gap) / gap
+
+
+def _heterodyne_reference(mu, s):
+    eps = 2.0 * (mu - 1.0) / (mu + 1.0)
+    g_mu, lam_mu = _weights_reference(s, mu)
+    g_nu, lam_nu = _weights_reference(1.0 - s, 1.0 + eps)
+    return 2.0 * g_mu * g_nu / (lam_mu + lam_nu + (mu - 1.0) * eps / 2.0)
+
+
+def _search_reference(mu):
+    index = np.arange(mu.shape[0])
+    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
+    s_star, q_min = lo, np.full_like(mu, np.inf)
+    for _ in range(SEARCH_STEPS):
+        s = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, SEARCH_POINTS)
+        s[:, -1] = hi
+        q = _heterodyne_reference(mu[:, None], s)
+        best = np.argmin(q, axis=1)
+        q_best = q[index, best]
+        better = q_best < q_min
+        s_star = np.where(better, s[index, best], s_star)
+        q_min = np.where(better, q_best, q_min)
+        lo = s[index, np.maximum(best - 1, 0)]
+        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
+    return s_star, q_min
+
+
+def _hexes(values):
+    return [x.hex() for x in np.asarray(values, float).ravel().tolist()]
+
+
+def test_search_is_bit_identical_to_the_generic_route():
+    rng = np.random.default_rng(31)
+    grids = [np.array(EDGE_MUS), *(np.array([mu]) for mu in EDGE_MUS)]
+    for size in (1, 2, 3, 20, 110, 200):
+        grids.append(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, size))
+        grids.append(10.0 ** rng.uniform(0.0, 3.0, size))
+    grids.append(rng.permutation(np.concatenate([EDGE_MUS, 1.0 + rng.exponential(5.0, 40)])))
+    for mu in grids:
+        got, expected = chernoff_overlap_local(mu), _search_reference(mu)
+        assert [_hexes(x) for x in got] == [_hexes(x) for x in expected]
+
+
+def test_scalar_heterodyne_overlap_is_bit_identical_to_the_generic_route():
+    rng = np.random.default_rng(32)
+    points = zip(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 50), rng.uniform(1e-6, 1.0 - 1e-6, 50))
+    for mu, s in [*points, *((mu, 0.3) for mu in EDGE_MUS)]:
+        expected = float(_heterodyne_reference(np.float64(mu), float(s)))
+        assert s_overlap_heterodyne(float(mu), float(s)).hex() == expected.hex()
+    # and over arrays of two shapes, broadcast against each other
+    mus, orders = np.array(EDGE_MUS)[:, None], rng.uniform(1e-6, 1.0 - 1e-6, 16)
+    got = overlap_heterodyne(mus, orders)
+    assert got.shape == (len(EDGE_MUS), 16)
+    assert _hexes(got) == _hexes(_heterodyne_reference(mus, orders))
+    column = mus[:, 0]
+    assert _hexes(overlap_heterodyne(column, 0.3)) == _hexes(_heterodyne_reference(column, 0.3))
