@@ -37,6 +37,21 @@ _DERIVATIVE_STEP = 1e-4  # of the central difference at lambda = 1
 SEARCH_POINTS = 16
 SEARCH_STEPS = 12
 _SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
+#: glibc's malloc maps a request of 128 KiB or more (M_MMAP_THRESHOLD) afresh;
+#: once it has freed such a chunk it moves the threshold to that size and
+#: gives the heap back past twice it.  Either way a row kernel whose work
+#: arrays reach the threshold faults their pages in again on every call, which
+#: costs more than a second pass.  A request 24 bytes short of 128 KiB
+#: (malloc's 8-byte header, rounded up to 16 bytes) stays on the heap.
+_HEAP_REQUEST = 128 * 1024 - 24
+
+
+def _passes(size: int, row_bytes: int) -> list[slice]:
+    """Slices that cover ``size`` rows in passes whose work arrays, of
+    ``row_bytes`` per row, stay within ``_HEAP_REQUEST``.  A kernel that
+    computes every row on its own gives the same bits in any passes."""
+    rows = max(1, _HEAP_REQUEST // row_bytes)
+    return [slice(start, start + rows) for start in range(0, size, rows)]
 
 
 @dataclass(frozen=True)
@@ -237,10 +252,18 @@ def minimum_over_s(overlap, size: int) -> tuple[np.ndarray, np.ndarray]:
 def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked.
 
-    The ``mu``-only terms of the overlap are formed once, before the search.
+    The ``mu``-only terms of the overlap are formed once per pass of rows,
+    before its search.
     """
-    sides = _heterodyne_sides(mu[:, None])
-    return minimum_over_s(lambda orders: _heterodyne_at(orders, sides), mu.shape[0])
+    s_star, q = np.empty((2, mu.shape[0]))
+    # the search works on (2, rows, SEARCH_POINTS) arrays
+    for rows in _passes(mu.shape[0], 2 * SEARCH_POINTS * 8):
+        part = mu[rows]
+        sides = _heterodyne_sides(part[:, None])
+        s_star[rows], q[rows] = minimum_over_s(
+            lambda orders: _heterodyne_at(orders, sides), part.shape[0]
+        )
+    return s_star, q
 
 
 def p_upper_local(mu: float) -> SOverlapResult:
@@ -304,10 +327,6 @@ def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 #: estimate; the two run as one rule, each panel's 16 nodes first
 _RADIAL_SPLIT = 16
 _RADIAL_RULE = tuple(map(np.hstack, zip(_panel_rule(_RADIAL_SPLIT), _panel_rule(12))))
-#: grid points per pass of the radial rule: 110 x 5 x 28 doubles keep each
-#: work array below the 128 KiB from which glibc's malloc maps fresh pages
-#: for it, which costs more than a second pass
-_RADIAL_ROWS = 110
 #: relative tolerance of the radial integral, and the discarded tail beyond u = 72
 _RADIAL_RTOL = 1e-8
 _RADIAL_TAIL = 0.5 * math.exp(-72.0)
@@ -325,8 +344,8 @@ def lower_bound_local(mu: np.ndarray) -> np.ndarray:
     decay = (eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps)))[:, None, None]
     u, w = _RADIAL_RULE
     panels = np.empty((2, mu.shape[0], u.shape[0]))
-    for start in range(0, mu.shape[0], _RADIAL_ROWS):
-        rows = slice(start, start + _RADIAL_ROWS)
+    # a row of terms has the shape of the nodes
+    for rows in _passes(mu.shape[0], u.nbytes):
         terms = fidelity_error(2.0 * np.exp(-decay[rows] * u) / den[rows]) * w
         panels[0, rows] = terms[..., :_RADIAL_SPLIT].sum(axis=-1)
         panels[1, rows] = terms[..., _RADIAL_SPLIT:].sum(axis=-1)
@@ -449,10 +468,13 @@ def _fidelity_integrand(mu, c, m, nodes):
 
 def _averaged_fidelity(mu, c, m):
     """:func:`averaged_fidelity_bound` over eigenvalue pairs ``(2, n)``."""
-    terms = _fidelity_integrand(mu, c, m, _HERMITE_NODES)
-    terms *= _HERMITE_PAIR_WEIGHTS
-    # a sum per row, not matmul: BLAS may round a row differently in other stacks
-    return terms.sum(axis=(1, 2))
+    values = np.empty(c.shape[1])
+    for rows in _passes(c.shape[1], _HERMITE_PAIR_WEIGHTS.nbytes):
+        terms = _fidelity_integrand(mu, c[:, rows], m[:, rows], _HERMITE_NODES)
+        terms *= _HERMITE_PAIR_WEIGHTS
+        # a sum per row, not matmul: BLAS may round a row differently in other stacks
+        values[rows] = terms.sum(axis=(1, 2))
+    return values
 
 
 def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityScan:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gaussdisc import (
     DomainError,
+    NumericalError,
     exponents,
     gain_curves,
     multicopy_p_upper,
@@ -111,14 +113,24 @@ def test_strict_separation_and_monotone_gap():
 def test_gain_rows_and_exponents_are_the_evaluate_columns():
     # both are views of the exponent columns, which evaluate extends
     rng = np.random.default_rng(41)
-    grid = sorted({*(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 60)), 1.000001, 1e100, 1e300})
-    # the global overlap overflows at mu = 1e300; the views must still agree
+    grid = sorted({*(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 60)), 1.000001, 1e100, 1e150})
+    # up to the largest mu below the overflow of the global overlap (near 1.08e151)
     with np.errstate(all="ignore"):
         columns, points = evaluate(grid), gain_curves(grid)
-        singles = [(mu, evaluate([mu]), exponents(mu)) for mu in [1.0, *grid[::7], 1e300]]
+        singles = [(mu, evaluate([mu]), exponents(mu)) for mu in [1.0, *grid[::7], 1e150]]
     for i, point in enumerate(points):
         for name, value in vars(point).items():
             assert value.hex() == float(columns[name][i]).hex(), (name, grid[i])
     for mu, row, report in singles:
         for name, value in vars(report).items():
             assert value.hex() == float(row[name][0]).hex(), (name, mu)
+
+
+@pytest.mark.parametrize("call", [lambda: exponents(1e300), lambda: gain_curves([2.0, 1e300])])
+def test_overflowing_exponents_name_their_mu_without_a_warning(call):
+    # the global overlap overflows from about mu = 1.08e151, so kappa is infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^non-finite exponent at mu=1e\+300: kappa, delta$"
+        with pytest.raises(NumericalError, match=message):
+            call()

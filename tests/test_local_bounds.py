@@ -26,13 +26,15 @@ from gaussdisc import (
 )
 from gaussdisc.global_bounds import S_INTERVAL, fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
-    _RADIAL_ROWS,
+    _HERMITE_PAIR_WEIGHTS,
+    _RADIAL_RULE,
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
     SEARCH_POINTS,
     SEARCH_STEPS,
     _averaged_fidelity,
     _fidelity_integrand,
+    _passes,
     _scan,
     _spectra,
     chernoff_overlap_local,
@@ -297,7 +299,8 @@ def test_p_lower_local_bracket():
 
 def test_radial_rule_passes_leave_every_point_as_its_batch_of_one():
     # a long grid runs the radial rule in several passes of rows
-    mus = np.logspace(-9.0, 3.0, 3 * _RADIAL_ROWS + 7) + 1.0
+    radial_rows = _passes(1, _RADIAL_RULE[0].nbytes)[0].stop
+    mus = np.logspace(-9.0, 3.0, 3 * radial_rows + 7) + 1.0
     batch = lower_bound_local(mus)
     assert _hexes(batch) == _hexes([p_lower_local(mu) for mu in mus.tolist()])
 
@@ -503,3 +506,60 @@ def test_scalar_heterodyne_overlap_is_bit_identical_to_the_generic_route():
     assert _hexes(got) == _hexes(_heterodyne_reference(mus, orders))
     column = mus[:, 0]
     assert _hexes(overlap_heterodyne(column, 0.3)) == _hexes(_heterodyne_reference(column, 0.3))
+
+
+def test_long_search_is_bit_identical_to_its_batches_of_one():
+    # 2,000 points run the search in several passes of rows
+    rng = np.random.default_rng(33)
+    mus = np.concatenate([EDGE_MUS, 1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 1992)])
+    got = chernoff_overlap_local(mus)
+    singles = [chernoff_overlap_local(np.array([mu])) for mu in mus.tolist()]
+    for column, single in zip(got, zip(*singles)):
+        assert _hexes(column) == _hexes(np.concatenate(single))
+
+
+@pytest.mark.parametrize(
+    "mu, g",
+    [(1.0 + 1e-5, 1e-5), (1.0 + 1e-5, 3e-6), (1e3, 999.0), (1e3, 123.4)]
+    + [
+        (mu, frac * (mu - 1.0))
+        for mu, frac in zip(
+            1.0 + 10.0 ** np.random.default_rng(34).uniform(-5.0, 3.0, 6),
+            np.random.default_rng(35).uniform(0.05, 1.0, 6),
+        )
+    ],
+)
+def test_fidelity_scan_is_its_single_point_evaluations(mu, g):
+    # the scan runs its 83 seeds in several passes of rows
+    values = verify_fidelity_optimality(mu, g).values
+    expected = [averaged_fidelity_bound(mu, lam, g=g) for lam in LAMBDA_SCAN_GRID.tolist()]
+    assert _hexes(values) == _hexes(expected)
+
+
+def test_row_passes_keep_every_work_array_below_the_mmap_threshold(monkeypatch):
+    import gaussdisc.local_bounds as lb
+
+    calls = []
+
+    def recorded(size, row_bytes):
+        slices = _passes(size, row_bytes)
+        calls.append((size, row_bytes, slices))
+        return slices
+
+    monkeypatch.setattr(lb, "_passes", recorded)
+    mus = 1.0 + np.logspace(-6.0, 3.0, 2000)
+    chernoff_overlap_local(mus)
+    lower_bound_local(mus)
+    verify_fidelity_optimality(2.0)
+    # one row of each kernel's largest work array: the search's stacked
+    # orders, the radial rule's panel terms and the fidelity scan's node grid
+    assert {(size, row_bytes) for size, row_bytes, _ in calls} == {
+        (2000, 2 * SEARCH_POINTS * 8),
+        (2000, _RADIAL_RULE[0].nbytes),
+        (_SCAN_SEEDS.shape[1], _HERMITE_PAIR_WEIGHTS.nbytes),
+    }
+    for size, row_bytes, slices in calls:
+        assert len(slices) > 1
+        assert [i for rows in slices for i in range(size)[rows]] == list(range(size))
+        for rows in slices:
+            assert len(range(size)[rows]) * row_bytes < 128 * 1024

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gaussdisc import (
     OMEGA,
     DomainError,
+    NumericalError,
     SymmetricTwoModeCM,
     check_bona_fide,
     make_state_one,
@@ -148,6 +151,34 @@ def test_williamson_numeric_rejects_non_symmetric():
     bad[0, 1] = 0.3
     with pytest.raises(DomainError):
         williamson_numeric(bad)
+
+
+def _entry(value, at=(0, 1)):
+    v = 2.0 * np.eye(4)
+    v[at] = value
+    return v
+
+
+@pytest.mark.parametrize(
+    "v, error, message",
+    [
+        (np.diag([np.inf, 1.0, 1.0, 1.0]), NumericalError, "eigendecomposition failed: "),
+        (_entry(np.nan), DomainError, "covariance matrix must be symmetric"),
+        (_entry(np.nan, (0, 0)), DomainError, "covariance matrix must be symmetric"),
+        (_entry(1e-11), DomainError, "covariance matrix must be symmetric"),
+    ],
+)
+def test_williamson_numeric_symmetry_verdicts(v, error, message):
+    # the verdicts of np.allclose(v, v.T, atol=1e-12), with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{message}"):
+            williamson_numeric(v)
+
+
+def test_williamson_numeric_forgives_an_asymmetry_within_the_tolerance():
+    dec = williamson_numeric(_entry(5e-13))
+    np.testing.assert_allclose(dec.reconstruct(), 2.0 * np.eye(4), atol=1e-12)
 
 
 def test_williamson_numeric_handles_unequal_correlations():
