@@ -153,17 +153,6 @@ def williamson_symmetric(cm: SymmetricTwoModeCM) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(mu - abs(cm.g), mu + abs(cm.g), s)
 
 
-def _symmetric(v: np.ndarray) -> bool:
-    """``np.allclose(v, v.T, atol=1e-12)`` as its elementwise test: equal
-    entries, equal infinities included, or a gap within ``1e-12 + 1e-5 |v.T|``;
-    a NaN entry fails.  An exactly symmetric ``v`` skips the gap."""
-    vt = v.T
-    if (v == vt).all():
-        return True
-    with np.errstate(invalid="ignore"):
-        return bool(((v == vt) | (np.abs(v - vt) <= 1e-12 + 1e-5 * np.abs(vt))).all())
-
-
 def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecomposition:
     """Williamson decomposition of a generic 4x4 covariance matrix.
 
@@ -176,7 +165,8 @@ def williamson_numeric(cm: np.ndarray | SymmetricTwoModeCM) -> WilliamsonDecompo
     v = cm.matrix() if isinstance(cm, SymmetricTwoModeCM) else np.asarray(cm, float)
     if v.shape != (4, 4):
         raise DomainError(f"expected a 4x4 covariance matrix, got shape {v.shape}")
-    if not _symmetric(v):
+    # an exactly symmetric v skips the elementwise tolerance
+    if not ((v == v.T).all() or np.allclose(v, v.T, atol=1e-12)):
         raise DomainError("covariance matrix must be symmetric")
     eigvals, eigvecs = checked_eigh(v)
     if eigvals[0] <= 0.0:

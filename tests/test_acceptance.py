@@ -63,19 +63,15 @@ def test_criterion_2_fidelity_oracle_equivalence():
 
 def test_criterion_3_heterodyne_optimality_grid():
     failures = []
-    worst_derivative = 0.0
     for mu in (1.5, 2.0, 5.0, 20.0):
         for g in (0.4 * (mu - 1.0), mu - 1.0):
             for s in (0.1, 0.3, 0.5, 0.7, 0.9):
                 try:
-                    scan = gd.verify_heterodyne_optimality(mu, g, s)
+                    gd.verify_heterodyne_optimality(mu, g, s)
                 except gd.ReportFailure as exc:
                     failures.append(str(exc))
-                else:
-                    worst_derivative = max(worst_derivative, abs(scan.derivative_at_unit))
     detail = (
-        f"lambda-scan minimum at 1 on all 40 grid points, worst |derivative| = "
-        f"{worst_derivative:.2e} (tol 1e-6)"
+        "lambda-scan minimum at 1 on all 40 grid points"
         if not failures
         else f"{len(failures)} failures, first: {failures[0]}"
     )

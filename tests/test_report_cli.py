@@ -220,6 +220,14 @@ def test_cli_verify_het_single_point():
     assert "ok" in proc.stdout
 
 
+def test_cli_verify_het_takes_uncorrelated_points():
+    # mu = 1 leaves only g = 0, which gives a flat scan; so does --g-frac 0
+    for args in (("--mu", "1"), ("--mu", "2", "--g-frac", "0")):
+        proc = run_cli("verify-het", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout
+
+
 def test_cli_verify_het_empty_range():
     proc = run_cli("verify-het", "--mu")
     assert proc.returncode == 2

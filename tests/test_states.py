@@ -159,6 +159,12 @@ def _entry(value, at=(0, 1)):
     return v
 
 
+def _opposite_infinities():
+    v = _entry(np.inf)
+    v[1, 0] = -np.inf
+    return v
+
+
 @pytest.mark.parametrize(
     "v, error, message",
     [
@@ -166,6 +172,7 @@ def _entry(value, at=(0, 1)):
         (_entry(np.nan), DomainError, "covariance matrix must be symmetric"),
         (_entry(np.nan, (0, 0)), DomainError, "covariance matrix must be symmetric"),
         (_entry(1e-11), DomainError, "covariance matrix must be symmetric"),
+        (_opposite_infinities(), DomainError, "covariance matrix must be symmetric"),
     ],
 )
 def test_williamson_numeric_symmetry_verdicts(v, error, message):
