@@ -250,9 +250,29 @@ def _fractional_power(rho: np.ndarray, power: float) -> np.ndarray:
     return (eigvecs * scaled) @ eigvecs.conj().T
 
 
+def _state_cutoff(n_modes: int, *states: np.ndarray) -> int:
+    """The cutoff of ``states`` on ``n_modes`` modes: square matrices of one
+    dimension, a square one for two modes; else DomainError."""
+    if n_modes not in (1, 2):
+        raise DomainError("only one- and two-mode states are supported")
+    dim = None
+    for rho in states:
+        shape = np.shape(rho)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DomainError(f"state must be a square matrix, got shape {shape}")
+        if dim not in (None, shape[0]):
+            raise DomainError(f"states must have the same dimension, got {dim} and {shape[0]}")
+        dim = shape[0]
+    cutoff = math.isqrt(dim) if n_modes == 2 else dim
+    if cutoff**n_modes != dim:
+        raise DomainError(f"dimension {dim} is not a square")
+    return cutoff
+
+
 def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
     """Tr(rho0^s rho1^(1-s)) by direct eigendecomposition of both operators."""
     check_order(s)
+    _state_cutoff(1, rho0, rho1)
     a = _fractional_power(rho0, s)
     b = _fractional_power(rho1, 1.0 - s)
     return float(np.sum(a * b.T).real)
@@ -260,6 +280,7 @@ def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
 
 def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2``."""
+    _state_cutoff(1, rho_a, rho_b)
     root = _fractional_power(rho_a, 0.5)
     eigvals = checked_eigh(root @ rho_b @ root, values_only=True)
     return float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))) ** 2)
@@ -339,14 +360,7 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
     and ``<L^dag>`` are weighted sums along it below and above the diagonal
     (:func:`_ladder_weights`).
     """
-    if n_modes not in (1, 2):
-        raise DomainError("only one- and two-mode states are supported")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DomainError(f"state must be a square matrix, got shape {rho.shape}")
-    dim = rho.shape[0]
-    cutoff = math.isqrt(dim) if n_modes == 2 else dim
-    if cutoff**n_modes != dim:
-        raise DomainError(f"dimension {dim} is not a square")
+    cutoff = _state_cutoff(n_modes, rho)
     # the int, so that n_modes=2.0 behaves the same whatever the cache holds
     modes, cross, quadratures = _ladder_weights(cutoff, int(n_modes))
 
@@ -373,10 +387,7 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduced state of mode ``keep`` (0 or 1) of a two-mode operator."""
-    dim = rho.shape[0]
-    cutoff = math.isqrt(dim)
-    if cutoff * cutoff != dim:
-        raise DomainError(f"dimension {dim} is not a square")
+    cutoff = _state_cutoff(2, rho)
     tensor = rho.reshape(cutoff, cutoff, cutoff, cutoff)
     if keep == 0:
         return np.einsum("ijkj->ik", tensor)

@@ -37,12 +37,10 @@ LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)[40:]
 SEARCH_POINTS = 16
 SEARCH_STEPS = 12
 _SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
-#: glibc's malloc maps a request of 128 KiB or more (M_MMAP_THRESHOLD) afresh;
-#: once it has freed such a chunk it moves the threshold to that size and
-#: gives the heap back past twice it.  Either way a row kernel whose work
-#: arrays reach the threshold faults their pages in again on every call, which
-#: costs more than a second pass.  A request 24 bytes short of 128 KiB
-#: (malloc's 8-byte header, rounded up to 16 bytes) stays on the heap.
+#: long grids run in passes that keep each work array below the 128 KiB from
+#: which glibc maps a request afresh: whole, 200,000 points took the search twice
+#: as long (2 CPUs).  Fixed-size kernels run whole: glibc keeps a repeated request
+#: on the heap.  Less 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
 _HEAP_REQUEST = 128 * 1024 - 24
 
 
@@ -149,7 +147,9 @@ def _epsilon(mu):
 
 
 def _fidelity_denominator(mu, eps):
-    """Denominator of the conditional-pair fidelity; ``2 / it`` is the fidelity at a = 0."""
+    """``sqrt(Delta + L) - sqrt(L)`` of :func:`_fidelity_prefactor` at heterodyne, where
+    ``sqrt(Delta + L) = 1 + mu (1 + eps)``, within 2e-15 relative; ``2 / it`` is F at a = 0.
+    Routing either function through the other moves pinned CSV cells, so both stay."""
     return 1.0 + mu * (1.0 + eps) - 2.0 * (mu - 1.0) * np.sqrt(2.0 * mu / (mu + 1.0))
 
 
@@ -295,7 +295,9 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
     With ``Delta = det(v_a + v_b)`` and ``L = (det v_a - 1)(det v_b - 1)``:
     ``F = 2 exp(-d^T (v_a + v_b)^(-1) d / 2) / (sqrt(Delta + L) - sqrt(L))``.
     """
-    d = np.asarray(mean_diff, float)
+    d = check_displacement(mean_diff, "mean difference")
+    if not all(np.shape(v) == (2, 2) and np.isfinite(v).all() for v in (v_a, v_b)):
+        raise DomainError("covariances must be finite 2x2 matrices")
     expo = -0.5 * float(d @ np.linalg.solve(v_a + v_b, d))
     lam = (np.linalg.det(v_a) - 1.0) * (np.linalg.det(v_b) - 1.0)
     return float(_fidelity_prefactor(np.linalg.det(v_a + v_b), lam)) * math.exp(expo)
@@ -465,13 +467,10 @@ def _fidelity_integrand(mu, c, m, nodes):
 
 def _averaged_fidelity(mu, c, m):
     """:func:`averaged_fidelity_bound` over eigenvalue pairs ``(2, n)``."""
-    values = np.empty(c.shape[1])
-    for rows in _passes(c.shape[1], _HERMITE_PAIR_WEIGHTS.nbytes):
-        terms = _fidelity_integrand(mu, c[:, rows], m[:, rows], _HERMITE_NODES)
-        terms *= _HERMITE_PAIR_WEIGHTS
-        # a sum per row, not matmul: BLAS may round a row differently in other stacks
-        values[rows] = terms.sum(axis=(1, 2))
-    return values
+    terms = _fidelity_integrand(mu, c, m, _HERMITE_NODES)
+    terms *= _HERMITE_PAIR_WEIGHTS
+    # a sum per row, not matmul: BLAS may round a row differently in other stacks
+    return terms.sum(axis=(1, 2))
 
 
 def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityScan:

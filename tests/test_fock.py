@@ -323,14 +323,35 @@ def test_moments_keep_the_truncated_top_level(n_modes):
 def test_moments_reject_unsupported_shapes():
     with pytest.raises(DomainError, match="^only one- and two-mode states are supported"):
         quadrature_moments(np.eye(16) / 16.0, 3)
-    with pytest.raises(DomainError, match="^dimension 10 is not a square$"):
-        quadrature_moments(np.eye(10) / 10.0, 2)
+    for call in (
+        lambda: quadrature_moments(np.eye(10) / 10.0, 2),
+        lambda: partial_trace(np.eye(10) / 10.0, 0),
+    ):
+        with pytest.raises(DomainError, match="^dimension 10 is not a square$"):
+            call()
+    for call in (
+        lambda: oracle_s_overlap(np.eye(4) / 4.0, np.eye(5) / 5.0, 0.5),
+        lambda: oracle_fidelity(np.eye(4) / 4.0, np.eye(5) / 5.0),
+    ):
+        with pytest.raises(DomainError, match="^states must have the same dimension, got 4 and 5$"):
+            call()
 
 
-@pytest.mark.parametrize("shape, n_modes", [((16, 20), 2), ((20, 16), 2), ((5, 4), 1), ((16,), 1)])
+@pytest.mark.parametrize(
+    "shape, n_modes",
+    [((16, 20), 2), ((20, 16), 2), ((5, 4), 1), ((16,), 1), ((4, 4, 4), 2), ((4, 5), 1)],
+)
 def test_moments_reject_non_square_states(shape, n_modes):
-    with pytest.raises(DomainError, match=r"^state must be a square matrix, got shape \("):
-        quadrature_moments(np.ones(shape), n_modes)
+    rho = np.ones(shape)
+    for call in (
+        lambda: quadrature_moments(rho, n_modes),
+        lambda: partial_trace(rho, 0),
+        lambda: oracle_s_overlap(rho, np.eye(shape[0]), 0.5),
+        lambda: oracle_s_overlap(np.eye(shape[0]), rho, 0.5),
+        lambda: oracle_fidelity(rho, np.eye(shape[0])),
+    ):
+        with pytest.raises(DomainError, match=r"^state must be a square matrix, got shape \("):
+            call()
 
 
 @pytest.mark.parametrize("n_bar, mean", [(0.3, (0.4, -1.1)), (1.2, (2.0, 0.5)), (0.05, (-3.0, 2.5))])
@@ -435,6 +456,9 @@ def test_orbit_rule_folds_the_grid_once(nodes):
         lambda: gd.multicopy_p_upper(2.0, math.inf),
         lambda: gd.check_bona_fide(gd.SymmetricTwoModeCM(math.nan, 0.0, 0.0)),
         lambda: gd.check_bona_fide(gd.SymmetricTwoModeCM(2.0, 0.0, math.inf)),
+        lambda: gd.gaussian_fidelity_one_mode([[math.nan, 0.0], [0.0, 1.0]], np.eye(2), (0, 0)),
+        lambda: gd.gaussian_fidelity_one_mode(np.eye(2), [[1.0, math.inf], [0.0, 1.0]], (0, 0)),
+        lambda: gd.gaussian_fidelity_one_mode(np.eye(2), np.eye(2), (math.nan, 0.0)),
     ],
 )
 def test_non_finite_input_is_a_domain_error(call):
@@ -458,6 +482,9 @@ def test_non_finite_input_is_a_domain_error(call):
         lambda: fock.coherent_state(0.5, -3),
         lambda: fock.destroy(0),
         lambda: fock.destroy(-2),
+        # the one-mode fidelity takes 2x2 covariances and a pair (x, p)
+        lambda: gd.gaussian_fidelity_one_mode(np.eye(3), np.eye(3), (0.0, 0.0)),
+        lambda: gd.gaussian_fidelity_one_mode(np.eye(2), np.eye(2), (0.0, 0.0, 0.0)),
     ],
 )
 def test_malformed_input_is_a_domain_error(call):

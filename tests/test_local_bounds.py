@@ -26,7 +26,6 @@ from gaussdisc import (
 )
 from gaussdisc.global_bounds import S_INTERVAL, fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
-    _HERMITE_PAIR_WEIGHTS,
     _RADIAL_RULE,
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
@@ -567,7 +566,7 @@ def test_long_search_is_bit_identical_to_its_batches_of_one():
     ],
 )
 def test_fidelity_scan_is_its_single_point_evaluations(mu, g):
-    # the scan runs its 41 seeds in several passes of rows
+    # the scan runs its 41 seeds as one stack
     values = verify_fidelity_optimality(mu, g).values
     expected = [averaged_fidelity_bound(mu, lam, g=g) for lam in LAMBDA_SCAN_GRID.tolist()]
     assert _hexes(values) == _hexes(expected)
@@ -584,16 +583,17 @@ def test_row_passes_keep_every_work_array_below_the_mmap_threshold(monkeypatch):
         return slices
 
     monkeypatch.setattr(lb, "_passes", recorded)
+    # the fidelity scan's 41 seeds are a fixed size: it runs whole
+    verify_fidelity_optimality(2.0)
+    assert calls == []
     mus = 1.0 + np.logspace(-6.0, 3.0, 2000)
     chernoff_overlap_local(mus)
     lower_bound_local(mus)
-    verify_fidelity_optimality(2.0)
-    # one row of each kernel's largest work array: the search's stacked
-    # orders, the radial rule's panel terms and the fidelity scan's node grid
+    # one row of each grid kernel's largest work array: the search's stacked
+    # orders and the radial rule's panel terms
     assert {(size, row_bytes) for size, row_bytes, _ in calls} == {
         (2000, 2 * SEARCH_POINTS * 8),
         (2000, _RADIAL_RULE[0].nbytes),
-        (_SCAN_SEEDS.shape[1], _HERMITE_PAIR_WEIGHTS.nbytes),
     }
     for size, row_bytes, slices in calls:
         assert len(slices) > 1
