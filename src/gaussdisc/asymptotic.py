@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .global_bounds import qcb_global
 from .report import _exponent_columns, rows
 
@@ -33,26 +31,10 @@ class ExponentReport:
     ratio_db: float
 
 
-def _exponent_rows(mu_grid, cls) -> list:
-    """One ``cls`` per grid point from the exponent columns of
-    :func:`report.evaluate`.  A ``kappa``, ``kappa_loc`` or ``delta`` that
-    overflows is a :class:`NumericalError` naming the first such ``mu``,
-    without a floating-point warning; ``ratio`` is NaN at ``mu = 1``."""
-    with np.errstate(all="ignore"):
-        columns = _exponent_columns(mu_grid)
-    names = ("kappa", "kappa_loc", "delta")
-    finite = np.logical_and.reduce([np.isfinite(columns[name]) for name in names])
-    if not finite.all():
-        i = int(np.argmin(finite))
-        bad = ", ".join(name for name in names if not np.isfinite(columns[name][i]))
-        raise NumericalError(f"non-finite exponent at mu={float(columns['mu'][i])!r}: {bad}")
-    return rows(columns, cls)
-
-
 def exponents(mu: float) -> ExponentReport:
     """Error exponents at one thermal variance: a batch of one of the exponent
     columns of :func:`report.evaluate`."""
-    return _exponent_rows([mu], ExponentReport)[0]
+    return rows(_exponent_columns([mu]), ExponentReport)[0]
 
 
 def multicopy_p_upper(mu: float, copies: int) -> float:
@@ -85,4 +67,4 @@ def gain_curves(mu_grid) -> list[GainPoint]:
         raise DomainError("grid must be strictly increasing")
     if grid[0] == 1.0:
         raise DomainError("gain curves require mu > 1: the exponent ratio is undefined at mu = 1")
-    return _exponent_rows(grid, GainPoint)
+    return rows(_exponent_columns(grid), GainPoint)

@@ -37,11 +37,27 @@ def entropy_h(x: float) -> float:
 
 
 def thermal_entropy(x: np.ndarray) -> np.ndarray:
-    """:func:`entropy_h` elementwise over an array; ``x`` is not checked."""
-    b = (x - 1.0) / 2.0
+    """:func:`entropy_h` elementwise, ``x`` not checked: ``_photon_entropy((x - 1) / 2)``."""
+    return _photon_entropy((x - 1.0) / 2.0)
+
+
+def _photon_entropy(b: np.ndarray) -> np.ndarray:
+    """The entropy of :func:`entropy_h` at mean photon number ``b``, elementwise."""
     out, hot = np.zeros_like(b), b > 0.0
     b = b[hot]
     out[hot] = (_libm(math.log1p, b) + b * _libm(math.log1p, 1.0 / b)) / math.log(2.0)
+    return out
+
+
+def _entropy_gap(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``_photon_entropy(b1) - _photon_entropy(b2)`` for ``b2 = b1 / (1 + b1)``, whose
+    gap ``b1 - b2`` is exactly ``g = b1 b2``, without cancelling: elementwise
+    ``[log1p(g/(1 + b2)) + g log1p(1/b1) + b2 log1p(-g/(b1 (1 + b2)))] / ln 2``."""
+    out, hot = np.zeros_like(b1), b1 > 0.0
+    b1, b2 = b1[hot], b2[hot]
+    g = b1 * b2
+    logs = _libm(math.log1p, np.stack([g / (1.0 + b2), 1.0 / b1, -g / (b1 * (1.0 + b2))]))
+    out[hot] = (logs[0] + g * logs[1] + b2 * logs[2]) / math.log(2.0)
     return out
 
 
@@ -55,25 +71,20 @@ def binary_entropy(p: float) -> float:
 
 
 def correlations(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(delta_c, delta_d)`` elementwise over an array of checked ``mu``, each
-    of the three entropies formed once.  From ``mu`` about 6e307 on, ``3 mu - 1``
-    overflows (before ``2 mu - 1`` does), which is a :class:`NumericalError`
-    naming the first such ``mu``: the input is valid, its evaluation fails."""
-    with np.errstate(over="ignore"):
-        x = np.stack([mu, (3.0 * mu - 1.0) / (mu + 1.0), 2.0 * mu - 1.0])
-    overflow = np.isinf(x[1])
-    if overflow.any():
-        first = float(mu[np.argmax(overflow)])
-        raise NumericalError(f"derived variance (3 mu - 1) / (mu + 1) overflows at mu={first!r}")
-    h_mu, h_cond, h_twin = thermal_entropy(x)
-    return h_mu - h_cond, h_mu - h_twin + h_cond
+    """``(delta_c, delta_d)`` elementwise over an array of checked ``mu``, from the
+    mean photon numbers ``(mu - 1)/2``, ``(mu - 1)/(mu + 1)`` and ``mu - 1`` of the
+    three modes, which are finite for every finite ``mu``; each of the three
+    entropies is formed once, and ``delta_c`` by :func:`_entropy_gap`."""
+    b = np.stack([(mu - 1.0) / 2.0, (mu - 1.0) / (mu + 1.0), mu - 1.0])
+    h_mu, h_cond, h_twin = _photon_entropy(b)
+    return _entropy_gap(b[0], b[1]), h_mu - h_twin + h_cond
 
 
 def delta_c(mu: float) -> float:
     """Classical correlations encoded by the maximally correlated state.
 
-    Equals ``h(mu) - h((3 mu - 1)/(mu + 1))``; zero at ``mu = 1`` and
-    unbounded as ``mu`` grows.
+    Equals ``h(mu) - h((3 mu - 1)/(mu + 1))``, formed from photon numbers without
+    cancelling (:func:`correlations`); zero at ``mu = 1``, unbounded as ``mu`` grows.
     """
     return correlation_budget(mu).delta_c
 
@@ -81,8 +92,8 @@ def delta_c(mu: float) -> float:
 def delta_d(mu: float) -> float:
     """Quantum discord encoded by the maximally correlated state.
 
-    Equals ``h(mu) - h(2 mu - 1) + h((3 mu - 1)/(mu + 1))``; increases from 0
-    at ``mu = 1`` towards 1 as ``mu`` grows.
+    Equals ``h(mu) - h(2 mu - 1) + h((3 mu - 1)/(mu + 1))`` (from photon numbers,
+    :func:`correlations`); increases from 0 at ``mu = 1`` towards 1 as ``mu`` grows.
     """
     return correlation_budget(mu).delta_d
 

@@ -10,8 +10,8 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine (eigensolver, minimizer, quadrature) failed to converge,
-    or the bounds computed at a valid input break one of their orderings."""
+    """A numerical routine failed to converge (eigensolver, minimizer, quadrature), or at a
+    valid input an exponent is not finite or the computed bounds break an ordering."""
 
 
 class ConvergenceError(RuntimeError):
@@ -31,6 +31,15 @@ def check_mu(mu: float) -> float:
     if not (math.isfinite(mu) and mu >= 1.0):
         raise DomainError(f"thermal variance must be finite and satisfy mu >= 1, got {mu}")
     return float(mu)
+
+
+def check_exponent(mu: np.ndarray, q: np.ndarray, name: str) -> np.ndarray:
+    """Return the minimized overlaps ``q`` if each lies in ``(0, inf)``, where its
+    exponent ``-ln q`` is finite; else NumericalError naming ``name`` and the first ``mu``."""
+    ok = (0.0 < q) & (q < math.inf)
+    if not ok.all():
+        raise NumericalError(f"non-finite exponent at mu={float(mu[np.argmin(ok)])!r}: {name}")
+    return q
 
 
 def check_correlation(mu: float, g: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_mu, check_order
+from .errors import DomainError, check_exponent, check_mu, check_order
 from .states import WilliamsonDecomposition
 
 # The overlap weights degenerate at s in {0, 1} whenever a symplectic
@@ -150,9 +150,11 @@ class GlobalBounds:
 
 
 def chernoff_overlap_global(mu):
-    """``min_s Q_s`` elementwise over arrays, ``mu`` not checked: ``Q_s`` falls on
-    the whole interval (see ``S_INTERVAL``), so it is the overlap at the clip."""
-    return overlap_global(mu, S_INTERVAL[1])
+    """``min_s Q_s`` elementwise, ``mu`` not checked: the overlap at the clip, as ``Q_s``
+    falls on ``S_INTERVAL``; :func:`check_exponent` fails it past about ``mu = 1e151``."""
+    with np.errstate(all="ignore"):
+        q = overlap_global(mu, S_INTERVAL[1])
+    return check_exponent(mu, q, "kappa")
 
 
 def lower_bound_global(mu):
@@ -174,9 +176,9 @@ def qcb_global(mu: float) -> SOverlapResult:
 def bhattacharyya_global(mu: float) -> GlobalBounds:
     """Bracket the global error probability from both sides.
 
-    ``P- = (1 - sqrt(1 - B^2)) / 2`` is a batch of one of
-    :func:`lower_bound_global`; the upper bound is :func:`qcb_global`.
+    ``P- = (1 - sqrt(1 - B^2)) / 2`` is a batch of one of :func:`lower_bound_global`;
+    the upper bound is :func:`qcb_global`, read first, as it fails wherever ``B`` does.
     """
+    p_upper = qcb_global(mu).p_upper
     p_lower = float(lower_bound_global(np.array([check_mu(mu)]))[0])
-    b = s_overlap_global(mu, 0.5)
-    return GlobalBounds(p_upper=qcb_global(mu).p_upper, p_lower=p_lower, bhattacharyya=b)
+    return GlobalBounds(p_upper=p_upper, p_lower=p_lower, bhattacharyya=s_overlap_global(mu, 0.5))

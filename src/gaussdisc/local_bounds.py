@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ReportFailure
-from .errors import check_correlation, check_displacement, check_mu, check_order
+from .errors import check_correlation, check_displacement, check_exponent, check_mu, check_order
 from .global_bounds import (
     S_INTERVAL,
     SOverlapResult,
@@ -251,18 +251,19 @@ def minimum_over_s(overlap, size: int) -> tuple[np.ndarray, np.ndarray]:
 def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked.
 
-    The ``mu``-only terms of the overlap are formed once per pass of rows,
-    before its search.
+    The ``mu``-only terms of the overlap are formed once per pass of rows, before its
+    search; :func:`check_exponent` fails its overflow, from about ``mu = 1.8e302``.
     """
     s_star, q = np.empty((2, mu.shape[0]))
     # the search works on (2, rows, SEARCH_POINTS) arrays
-    for rows in _passes(mu.shape[0], 2 * SEARCH_POINTS * 8):
-        part = mu[rows]
-        sides = _heterodyne_sides(part[:, None])
-        s_star[rows], q[rows] = minimum_over_s(
-            lambda orders: _heterodyne_at(orders, sides), part.shape[0]
-        )
-    return s_star, q
+    with np.errstate(all="ignore"):
+        for rows in _passes(mu.shape[0], 2 * SEARCH_POINTS * 8):
+            part = mu[rows]
+            sides = _heterodyne_sides(part[:, None])
+            s_star[rows], q[rows] = minimum_over_s(
+                lambda orders: _heterodyne_at(orders, sides), part.shape[0]
+            )
+    return s_star, check_exponent(mu, q, "kappa_loc")
 
 
 def p_upper_local(mu: float) -> SOverlapResult:
@@ -336,24 +337,25 @@ _RADIAL_TAIL = 0.5 * math.exp(-72.0)
 def lower_bound_local(mu: np.ndarray) -> np.ndarray:
     """Elementwise :func:`p_lower_local` over an array; ``mu`` is not checked.
 
-    Raises :class:`NumericalError` if the error estimate of any element
-    exceeds the relative tolerance.
+    Raises :class:`NumericalError` if the error estimate of any element is not
+    within the relative tolerance, such as NaN from an overflow past about 6e307.
     """
-    eps = _epsilon(mu)
-    sigma2 = mu - 1.0 - eps
-    den = _fidelity_denominator(mu, eps)[:, None, None]
-    decay = (eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps)))[:, None, None]
-    u, w = _RADIAL_RULE
-    panels = np.empty((2, mu.shape[0], u.shape[0]))
-    # a row of terms has the shape of the nodes
-    for rows in _passes(mu.shape[0], u.nbytes):
-        terms = fidelity_error(2.0 * np.exp(-decay[rows] * u) / den[rows]) * w
-        panels[0, rows] = terms[..., :_RADIAL_SPLIT].sum(axis=-1)
-        panels[1, rows] = terms[..., _RADIAL_SPLIT:].sum(axis=-1)
-    value = panels[0].sum(axis=-1)
-    abserr = np.abs(panels[0] - panels[1]).sum(axis=-1)
-    spread = sigma2 > 0.0
-    failed = spread & (abserr + _RADIAL_TAIL > _RADIAL_RTOL * value + 1e-15)
+    with np.errstate(all="ignore"):
+        eps = _epsilon(mu)
+        sigma2 = mu - 1.0 - eps
+        den = _fidelity_denominator(mu, eps)[:, None, None]
+        decay = (eps * eps * 2.0 * sigma2 / (4.0 * (mu + 1.0 + eps)))[:, None, None]
+        u, w = _RADIAL_RULE
+        panels = np.empty((2, mu.shape[0], u.shape[0]))
+        # a row of terms has the shape of the nodes
+        for rows in _passes(mu.shape[0], u.nbytes):
+            terms = fidelity_error(2.0 * np.exp(-decay[rows] * u) / den[rows]) * w
+            panels[0, rows] = terms[..., :_RADIAL_SPLIT].sum(axis=-1)
+            panels[1, rows] = terms[..., _RADIAL_SPLIT:].sum(axis=-1)
+        value = panels[0].sum(axis=-1)
+        abserr = np.abs(panels[0] - panels[1]).sum(axis=-1)
+    # "not within": NaN fails; without spread (mu near 1) both rules sum a constant
+    failed = ~(abserr + _RADIAL_TAIL <= _RADIAL_RTOL * value + 1e-15)
     if failed.any():
         i = int(np.argmax(failed))
         raise NumericalError(
@@ -362,7 +364,7 @@ def lower_bound_local(mu: np.ndarray) -> np.ndarray:
         )
     # mu = 1: the modulation is a point mass at a = 0, where F = 2 / den
     point = fidelity_error(2.0 / den[:, 0, 0])
-    return np.where(spread, value, point)
+    return np.where(sigma2 > 0.0, value, point)
 
 
 def p_lower_local(mu: float) -> float:

@@ -55,8 +55,8 @@ def _exponent_columns(mu_grid) -> dict[str, np.ndarray]:
     """The exponent columns over a grid: ``mu``, the correlations, the
     Chernoff bounds ``p_plus_*`` and the exponents ``kappa``, ``kappa_loc``,
     ``delta``, ``ratio`` and ``ratio_db``, which come from the same minimized
-    overlaps.  The exponents and the gain tables are views of them;
-    :func:`evaluate` adds the lower bounds and the information on top."""
+    overlaps, whose kernels fail a non-finite exponent.  The exponents and the gain
+    tables are views of them; :func:`evaluate` adds the lower bounds and the information."""
     mu = np.array([check_mu(value) for value in mu_grid], dtype=float)
     delta_c, delta_d = correlations(mu)
     q_global, q_local = chernoff_overlap_global(mu), chernoff_overlap_local(mu)[1]
@@ -98,11 +98,10 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
 def report_columns(mu_grid) -> dict[str, np.ndarray]:
     """:func:`evaluate`, gated by :func:`column_violations`: the first grid
     point that breaks an ordering is a :class:`NumericalError` naming its
-    ``mu`` and the labels it fails.  A column that under- or overflows is
-    NaN or infinite and fails the gate without a floating-point warning."""
-    with np.errstate(all="ignore"):
-        columns = evaluate(mu_grid)
-        i, violations = column_violations(columns)
+    ``mu`` and the labels it fails.  An exponent that under- or overflows has failed
+    in its overlap kernel already (``errors.check_exponent``), without a warning."""
+    columns = evaluate(mu_grid)
+    i, violations = column_violations(columns)
     if violations:
         mu = float(columns["mu"][i])
         raise NumericalError(f"internal invariant violation at mu={mu!r}: " + "; ".join(violations))

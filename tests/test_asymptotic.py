@@ -7,9 +7,12 @@ import pytest
 from gaussdisc import (
     DomainError,
     NumericalError,
+    bhattacharyya_global,
     exponents,
     gain_curves,
     multicopy_p_upper,
+    p_lower_local,
+    p_upper_local,
     qcb_global,
 )
 from gaussdisc.report import evaluate
@@ -126,11 +129,48 @@ def test_gain_rows_and_exponents_are_the_evaluate_columns():
             assert value.hex() == float(row[name][0]).hex(), (name, mu)
 
 
-@pytest.mark.parametrize("call", [lambda: exponents(1e300), lambda: gain_curves([2.0, 1e300])])
-def test_overflowing_exponents_name_their_mu_without_a_warning(call):
-    # the global overlap overflows from about mu = 1.08e151, so kappa is infinite
+#: each view at a mu past an overflow, and its one-line failure there (None:
+#: the view returns finite values).  The global overlap underflows from about
+#: mu = 1e151, the local one overflows from about 1.8e302, and the radial rule's
+#: denominator from about 6e307.
+GLOBAL_VIEWS = {
+    "exponents": exponents,
+    "gain_curves": lambda mu: gain_curves([2.0, mu]),
+    "qcb_global": qcb_global,
+    "bhattacharyya_global": bhattacharyya_global,
+    "multicopy_p_upper": lambda mu: multicopy_p_upper(mu, 3),
+}
+RADIAL_FAILURE = "radial quadrature failed its relative tolerance at mu={mu!r} (err nan)"
+OVERFLOW_CASES = [
+    *(
+        pytest.param(view, mu, "non-finite exponent at mu={mu!r}: kappa", id=f"{name}-{mu:g}")
+        for name, view in GLOBAL_VIEWS.items()
+        for mu in (1.2e151, 1e300, 1.7e308)
+    ),
+    *(
+        pytest.param(view, mu, message, id=f"{view.__name__}-{mu:g}")
+        for view, mu, message in [
+            (p_upper_local, 1.2e151, None),
+            (p_upper_local, 1e300, None),
+            (p_upper_local, 1.7e308, "non-finite exponent at mu={mu!r}: kappa_loc"),
+            (p_lower_local, 1.2e151, None),
+            (p_lower_local, 1e300, None),
+            (p_lower_local, 7e307, RADIAL_FAILURE),
+            (p_lower_local, 1.7e308, RADIAL_FAILURE),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("call, mu, message", OVERFLOW_CASES)
+def test_overflowing_exponents_name_their_mu_without_a_warning(call, mu, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = r"^non-finite exponent at mu=1e\+300: kappa, delta$"
-        with pytest.raises(NumericalError, match=message):
-            call()
+        if message is None:
+            result = call(mu)
+            values = vars(result).values() if hasattr(result, "__dict__") else [result]
+            assert all(math.isfinite(value) for value in values)
+            return
+        with pytest.raises(NumericalError) as raised:
+            call(mu)
+    assert str(raised.value) == message.format(mu=mu)

@@ -24,18 +24,27 @@ PROBABILITIES = np.concatenate(
 )
 
 
-def h_reference(x):
-    if x == 1.0:
+def h_reference(b):
+    """Entropy in bits of a thermal mode of mean photon number ``b``."""
+    if b == 0.0:
         return 0.0
-    b = (x - 1.0) / 2.0
     return (math.log1p(b) + b * math.log1p(1.0 / b)) / math.log(2.0)
 
 
 def correlations_reference(mu):
-    cond = (3.0 * mu - 1.0) / (mu + 1.0)
-    return h_reference(mu) - h_reference(cond), (
-        h_reference(mu) - h_reference(2.0 * mu - 1.0) + h_reference(cond)
-    )
+    """``(delta_c, delta_d)`` from the photon numbers of the three modes; ``delta_c``
+    is the gap formula for ``b2 = b1 / (1 + b1)``, whose ``b1 - b2`` is ``b1 b2``."""
+    b1, b2, twin = (mu - 1.0) / 2.0, (mu - 1.0) / (mu + 1.0), mu - 1.0
+    if b1 == 0.0:
+        gap = 0.0
+    else:
+        g = b1 * b2
+        gap = (
+            math.log1p(g / (1.0 + b2))
+            + g * math.log1p(1.0 / b1)
+            + b2 * math.log1p(-g / (b1 * (1.0 + b2)))
+        ) / math.log(2.0)
+    return gap, h_reference(b1) - h_reference(twin) + h_reference(b2)
 
 
 def binary_entropy_reference(p):
@@ -57,7 +66,8 @@ def hexes(values):
 
 def test_thermal_entropy_is_bit_identical_to_the_scalar_formula():
     x = np.concatenate([MUS, 2.0 * MUS - 1.0, (3.0 * MUS - 1.0) / (MUS + 1.0)])
-    assert hexes(entropy.thermal_entropy(x)) == hexes(map(h_reference, x.tolist()))
+    expected = [h_reference((v - 1.0) / 2.0) for v in x.tolist()]
+    assert hexes(entropy.thermal_entropy(x)) == hexes(expected)
 
 
 def test_correlations_are_bit_identical_to_the_scalar_formulas():
@@ -78,19 +88,32 @@ def test_scalar_views_match_the_columns():
         dc, dd = correlations_reference(mu)
         assert entropy.delta_c(mu).hex() == dc.hex()
         assert entropy.delta_d(mu).hex() == dd.hex()
-        assert entropy.entropy_h(mu).hex() == h_reference(mu).hex()
+        assert entropy.entropy_h(mu).hex() == h_reference((mu - 1.0) / 2.0).hex()
     for p in PROBABILITIES[:40].tolist():
         assert entropy.binary_entropy(p).hex() == binary_entropy_reference(p).hex()
         i_lower, i_upper = entropy.info_bounds(0.5, p)
         assert (i_lower, i_upper) == (0.0, information_reference(p))
 
 
-def test_correlations_reject_overflowing_variances():
-    # a valid mu whose derived variance overflows is a numerical failure, not a usage error
-    for mu in (6e307, 1e308, 1.7e308):
-        with pytest.raises(entropy.NumericalError) as raised:
-            entropy.correlation_budget(mu)
-        assert str(raised.value) == f"derived variance (3 mu - 1) / (mu + 1) overflows at mu={mu!r}"
+def test_correlations_are_finite_and_accurate_up_to_the_largest_float():
+    # 50-digit mpmath on the photon numbers b = (mu - 1)/2 and b / (1 + b) =
+    # (mu - 1)/(mu + 1); measured worst relative errors: delta_c 2.8e-16, delta_d
+    # 7.8e-15 below mu = 1e14, and 2.3e-13 above it, where h(b) - h(2 b)
+    # cancels and delta_d exceeds its supremum 1 by up to that much
+    mpmath = pytest.importorskip("mpmath")
+
+    def h(b):
+        return (mpmath.log1p(b) + b * mpmath.log1p(1 / b)) / mpmath.log(2)
+
+    x = np.logspace(-12.0, math.log10(1.7e308), 200)
+    for mu in [*(1.0 + x).tolist(), 6e307, 1.7e308]:
+        budget = entropy.correlation_budget(mu)
+        assert math.isfinite(budget.delta_c) and math.isfinite(budget.delta_d), mu
+        with mpmath.workdps(50):
+            b = (mpmath.mpf(mu) - 1) / 2
+            dc, dd = h(b) - h(b / (1 + b)), h(b) - h(2 * b) + h(b / (1 + b))
+            assert abs(budget.delta_c - dc) <= 1e-15 * dc, mu
+            assert abs(budget.delta_d - dd) <= (2e-14 if mu < 1e14 else 5e-13) * dd, mu
 
 
 def row_violations_reference(r, slack=1e-12):
