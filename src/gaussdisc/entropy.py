@@ -1,7 +1,7 @@
 """Entropic quantities: thermal entropy, encoded correlations and information bounds.
 
 All quantities are in bits (base-2 logarithms).  Each has one elementwise
-array function, and the scalar API evaluates a batch of one.
+array function on numpy's ufuncs, and the scalar API evaluates a batch of one.
 """
 
 from __future__ import annotations
@@ -18,34 +18,20 @@ _BISECTION_TOL = 1e-10  # on delta_d
 _ROOT_GRID = np.linspace(0.0, 1.0, 32)  # per step of mu_from_delta_d's search
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """Scalar ``fn`` on each element, so that its ``math`` calls stay in libm:
-    numpy's SIMD ``log1p``, ``atanh`` and ``log2`` may differ from libm's in
-    the last place, while the IEEE arithmetic around them rounds the same."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def entropy_h(x: float) -> float:
-    """Entropy of a thermal mode with quadrature variance ``x``.
-
-    h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0.
-    With ``b = (x-1)/2`` it is evaluated as ``(log1p(b) + b log1p(1/b)) / ln 2``,
-    a sum of two positive terms, since the two products above cancel for
-    large ``x``.  A batch of one of :func:`thermal_entropy`.
-    """
-    return float(thermal_entropy(np.array([check_mu(x)]))[0])
-
-
-def thermal_entropy(x: np.ndarray) -> np.ndarray:
-    """:func:`entropy_h` elementwise, ``x`` not checked: ``_photon_entropy((x - 1) / 2)``."""
-    return _photon_entropy((x - 1.0) / 2.0)
+    """Entropy of a thermal mode with quadrature variance ``x``: h(x) =
+    ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0.  A batch of
+    one of :func:`_photon_entropy` at ``b = (x - 1)/2``."""
+    return float(_photon_entropy(np.array([(check_mu(x) - 1.0) / 2.0]))[0])
 
 
 def _photon_entropy(b: np.ndarray) -> np.ndarray:
-    """The entropy of :func:`entropy_h` at mean photon number ``b``, elementwise."""
+    """The entropy of :func:`entropy_h` at mean photon number ``b``, elementwise, as
+    ``(log1p(b) + b log1p(1/b)) / ln 2``: a sum of two positive terms, since the two
+    products of :func:`entropy_h` cancel for large ``b``."""
     out, hot = np.zeros_like(b), b > 0.0
     b = b[hot]
-    out[hot] = (_libm(math.log1p, b) + b * _libm(math.log1p, 1.0 / b)) / math.log(2.0)
+    out[hot] = (np.log1p(b) + b * np.log1p(1.0 / b)) / math.log(2.0)
     return out
 
 
@@ -56,9 +42,16 @@ def _entropy_gap(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     out, hot = np.zeros_like(b1), b1 > 0.0
     b1, b2 = b1[hot], b2[hot]
     g = b1 * b2
-    logs = _libm(math.log1p, np.stack([g / (1.0 + b2), 1.0 / b1, -g / (b1 * (1.0 + b2))]))
+    logs = np.log1p(np.stack([g / (1.0 + b2), 1.0 / b1, -g / (b1 * (1.0 + b2))]))
     out[hot] = (logs[0] + g * logs[1] + b2 * logs[2]) / math.log(2.0)
     return out
+
+
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """``H(p) = -p log2(p) - q log2(q)`` with ``q = 1 - p``, elementwise over ``(0, 1)``."""
+    pq = np.array([p, 1.0 - p])
+    terms = pq * np.log2(pq)
+    return -terms[0] - terms[1]
 
 
 def binary_entropy(p: float) -> float:
@@ -67,7 +60,7 @@ def binary_entropy(p: float) -> float:
         raise DomainError(f"probability must lie in [0, 1], got {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return float(_binary_entropy(np.array([p], float))[0])
 
 
 def correlations(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,38 +127,27 @@ def info_bounds(p_upper: float, p_lower: float) -> tuple[float, float]:
     ``[1 - H(p_upper), 1 - H(p_lower)]``; returns ``(i_lower, i_upper)``.
     """
     bracket = np.array([p_upper, p_lower], float)
-    check_brackets(bracket[:1], bracket[1:])
+    p_upper, p_lower = bracket.tolist()
+    if not 0.0 <= p_lower <= p_upper <= 0.5:
+        raise DomainError(f"need 0 <= p_lower <= p_upper <= 1/2, got ({p_upper}, {p_lower})")
     return tuple(information(bracket).tolist())
-
-
-def check_brackets(p_upper: np.ndarray, p_lower: np.ndarray) -> None:
-    """DomainError at the first element that breaks ``0 <= p_lower <= p_upper <= 1/2``."""
-    ordered = (0.0 <= p_lower) & (p_lower <= p_upper) & (p_upper <= 0.5)
-    if not ordered.all():
-        i = int(np.argmin(ordered))
-        raise DomainError(
-            f"need 0 <= p_lower <= p_upper <= 1/2, got ({float(p_upper[i])}, {float(p_lower[i])})"
-        )
 
 
 def information(p: np.ndarray) -> np.ndarray:
     """``1 - H(p)`` elementwise over ``[0, 1/2]``, without cancelling near
     ``p = 1/2``; NaN where ``p`` lies outside that range or is NaN.
 
-    Below ``p = 1/4`` the entropy is far enough from 1, and it is the formula
-    of :func:`binary_entropy`, ``-p log2(p) - q log2(q)`` with ``q = 1 - p``,
-    its two logs in one map of libm's ``log2``; ``p = 0`` gives 1.  With
+    Below ``p = 1/4`` the entropy is far enough from 1, and it is the kernel
+    of :func:`binary_entropy`, :func:`_binary_entropy`; ``p = 0`` gives 1.  With
     ``d = 1 - 2p`` (exact for ``p >= 1/4``) it equals
     ``(2 d atanh(d) + log1p(-d^2)) / (2 ln 2)``, whose terms are of the size
     of the result.
     """
     out = np.where(p == 0.0, 1.0, np.nan)
     far, near = (0.0 < p) & (p < 0.25), (0.25 <= p) & (p <= 0.5)
-    pq = np.array([p[far], 1.0 - p[far]])
-    terms = pq * _libm(math.log2, pq)
-    out[far] = 1.0 - (-terms[0] - terms[1])
+    out[far] = 1.0 - _binary_entropy(p[far])
     d = 1.0 - 2.0 * p[near]
-    out[near] = (2.0 * d * _libm(math.atanh, d) + _libm(math.log1p, -d * d)) / (2.0 * math.log(2.0))
+    out[near] = (2.0 * d * np.arctanh(d) + np.log1p(-d * d)) / (2.0 * math.log(2.0))
     return out
 
 

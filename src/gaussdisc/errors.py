@@ -33,12 +33,13 @@ def check_mu(mu: float) -> float:
     return float(mu)
 
 
-def check_exponent(mu: np.ndarray, q: np.ndarray, name: str) -> np.ndarray:
-    """Return the minimized overlaps ``q`` if each lies in ``(0, inf)``, where its
+def check_exponent(mu, q, name: str):
+    """Return the overlaps ``q``, scalar or array, if each lies in ``(0, inf)``, where its
     exponent ``-ln q`` is finite; else NumericalError naming ``name`` and the first ``mu``."""
     ok = (0.0 < q) & (q < math.inf)
     if not ok.all():
-        raise NumericalError(f"non-finite exponent at mu={float(mu[np.argmin(ok)])!r}: {name}")
+        mu = float(np.atleast_1d(mu)[np.argmin(ok)])
+        raise NumericalError(f"non-finite exponent at mu={mu!r}: {name}")
     return q
 
 

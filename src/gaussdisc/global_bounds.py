@@ -115,9 +115,12 @@ def s_overlap_global(mu: float, s: float) -> float:
     The uncorrelated state is already in normal form with degenerate spectrum
     ``{mu, mu}``; the correlated one has spectrum ``{1, 2 mu - 1}`` and an
     orthogonal-symplectic diagonalizer, so the 4x4 determinant of
-    :func:`s_overlap_two_mode` collapses to a product of two factors.
+    :func:`s_overlap_two_mode` collapses to a product of two factors.  An under- or
+    overflow fails through :func:`check_exponent`.
     """
-    return float(overlap_global(np.float64(check_mu(mu)), check_order(s)))
+    with np.errstate(all="ignore"):
+        q = overlap_global(np.float64(check_mu(mu)), check_order(s))
+    return float(check_exponent(mu, q, "s_overlap_global"))
 
 
 def fidelity_error(f):

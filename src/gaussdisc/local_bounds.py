@@ -127,9 +127,16 @@ def condition_on_povm(mu: float, g: float, povm: GaussianPovm) -> ConditionalPre
 
 def _spectra(mu, g, seed):
     """Eigenvalues ``(c, m)``, each ``(2, n)``, of ``v_cond`` and ``v_mod`` from the
-    seed's ``(eta lam, eta / lam)``; unchecked.  All three share eigenvectors."""
+    seed's ``(eta lam, eta / lam)``; unchecked.  All three share eigenvectors.  Where
+    ``m > mu / 2``, ``c = mu - m`` would cancel: there ``mu - |g|`` is exact, and
+    ``c = ((mu - |g|)(mu + |g|) + mu seed) / (mu + seed)``, ``m = g (g / (mu + seed))``."""
     m = g * g * (1.0 / (mu + seed))
-    return mu - m, m
+    near = m > mu / 2.0
+    if not near.any():
+        return mu - m, m
+    a, total = abs(g), mu + seed
+    c = np.where(near, ((mu - a) * (mu + a) + mu * seed) / total, mu - m)
+    return c, np.where(near, g * (g / total), m)
 
 
 def heterodyne_epsilon(mu: float) -> float:
@@ -208,8 +215,11 @@ def overlap_heterodyne(mu, s):
 
 
 def s_overlap_heterodyne(mu: float, s: float) -> float:
-    """Closed form of :func:`s_overlap_local` at the heterodyne optimum."""
-    return float(overlap_heterodyne(np.float64(check_mu(mu)), check_order(s)))
+    """Closed form of :func:`s_overlap_local` at the heterodyne optimum; an under- or
+    overflow fails through :func:`check_exponent`."""
+    with np.errstate(all="ignore"):
+        q = overlap_heterodyne(np.float64(check_mu(mu)), check_order(s))
+    return float(check_exponent(mu, q, "s_overlap_heterodyne"))
 
 
 def minimum_over_s(overlap, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,9 +315,10 @@ def gaussian_fidelity_one_mode(v_a: np.ndarray, v_b: np.ndarray, mean_diff) -> f
 
 
 def _fidelity_prefactor(delta, lam):
-    """``2 / (sqrt(Delta + L) - sqrt(L))`` over scalars or arrays, ``L`` clipped at 0."""
+    """``2 / (sqrt(Delta + L) - sqrt(L))`` over scalars or arrays, ``L`` clipped at 0, as
+    ``2 (sqrt(Delta + L) + sqrt(L)) / Delta``, which does not cancel for large ``L``."""
     lam = np.maximum(lam, 0.0)
-    return 2.0 / (np.sqrt(delta + lam) - np.sqrt(lam))
+    return 2.0 * (np.sqrt(delta + lam) + np.sqrt(lam)) / delta
 
 
 #: panels of the radial rule on u in [0, 72]; they widen as the e^-u weight

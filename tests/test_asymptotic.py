@@ -14,6 +14,8 @@ from gaussdisc import (
     p_lower_local,
     p_upper_local,
     qcb_global,
+    s_overlap_global,
+    s_overlap_heterodyne,
 )
 from gaussdisc.report import evaluate
 
@@ -132,7 +134,8 @@ def test_gain_rows_and_exponents_are_the_evaluate_columns():
 #: each view at a mu past an overflow, and its one-line failure there (None:
 #: the view returns finite values).  The global overlap underflows from about
 #: mu = 1e151, the local one overflows from about 1.8e302, and the radial rule's
-#: denominator from about 6e307.
+#: denominator from about 6e307.  The scalar overlaps at s = 1/2 fail through the
+#: same check: the global one from about 1e154, the heterodyne one from about 6.2e307.
 GLOBAL_VIEWS = {
     "exponents": exponents,
     "gain_curves": lambda mu: gain_curves([2.0, mu]),
@@ -157,6 +160,15 @@ OVERFLOW_CASES = [
             (p_lower_local, 1e300, None),
             (p_lower_local, 7e307, RADIAL_FAILURE),
             (p_lower_local, 1.7e308, RADIAL_FAILURE),
+        ]
+    ),
+    *(
+        pytest.param(lambda mu, f=overlap: f(mu, 0.5), mu, message, id=f"{overlap.__name__}-{mu:g}")
+        for overlap, mu, message in [
+            (s_overlap_global, 1e151, None),
+            (s_overlap_global, 1e300, "non-finite exponent at mu={mu!r}: s_overlap_global"),
+            (s_overlap_heterodyne, 1e300, None),
+            (s_overlap_heterodyne, 1.7e308, "non-finite exponent at mu={mu!r}: s_overlap_heterodyne"),
         ]
     ),
 ]

@@ -219,6 +219,15 @@ def test_local_overlap_matrix_route_matches_closed_form():
             )
 
 
+def test_local_overlap_at_heterodyne_matches_closed_form_up_to_2_53():
+    # the conditional eigenvalue mu - g^2/(mu + 1) cancels as g nears mu - 1:
+    # formed by subtraction it put the two 0.2 relative apart; measured worst 7.0e-16
+    for mu in [1.0, *np.geomspace(1.001, 2.0**53, 1000).tolist()]:
+        for s in (0.1, 0.5, 0.9):
+            closed = s_overlap_heterodyne(mu, s)
+            assert abs(s_overlap_local(mu, s, HET) - closed) <= 1e-14 * closed, (mu, s)
+
+
 def test_squeezed_povm_is_worse_than_heterodyne():
     het = s_overlap_local(2.0, 0.5, HET)
     squeezed = s_overlap_local(2.0, 0.5, GaussianPovm(1.0, 0.0, 2.0))
@@ -399,6 +408,15 @@ def test_fidelity_scan_confirms_heterodyne():
         scan = verify_fidelity_optimality(mu)
         assert scan.min_lambda == 1.0
         assert scan.derivative_at_unit == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e3, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("g_frac", [0.05, 0.4, 1.0])
+def test_fidelity_scan_confirms_heterodyne_at_large_mu(mu, g_frac):
+    # 2 / (sqrt(Delta + L) - sqrt(L)) cancels once L outgrows Delta: at 1e8 with
+    # g_frac 0.05 it divided by zero, and four other points missed lambda = 1
+    assert verify_fidelity_optimality(mu, g_frac * (mu - 1.0)).min_lambda == 1.0
 
 
 def test_averaged_fidelity_bound_matches_quadrature_at_unit_lambda():
