@@ -11,7 +11,8 @@ class DomainError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge (eigensolver, minimizer, quadrature), or at a
-    valid input an exponent is not finite or the computed bounds break an ordering."""
+    valid input an exponent is not finite, a rounded spectrum leaves its physical domain or
+    the computed bounds break an ordering."""
 
 
 class ConvergenceError(RuntimeError):

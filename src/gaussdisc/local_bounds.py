@@ -9,8 +9,10 @@ uses (closed forms) and verifies numerically (lambda scans).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +21,9 @@ from .errors import check_correlation, check_displacement, check_exponent, check
 from .global_bounds import (
     S_INTERVAL,
     SOverlapResult,
-    _check_weight_args,
     _weight_logs,
     _weights_at,
     fidelity_error,
-    overlap_weights,
 )
 
 #: the POVMs of asymmetry lam and 1/lam are the same measurement turned by
@@ -168,21 +168,56 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     ``Sigma_s = L_s(mu) I + L_(1-s)(nu) S S^T``.  All three share the seed's
     eigenvectors, so the eigenvalues ``c_k`` of ``V_c`` and ``m_k`` of
     ``V_mod`` give ``nu^2 = c_0 c_1`` and ``det = prod_k (Sigma_k + m_k)``.
+    A batch of one of :func:`_overlap_state` and :func:`_overlap_at`.
     """
     mu = check_mu(mu)
     g = check_correlation(mu, mu - 1.0 if g is None else g)
     seed = np.array([[povm.eta * povm.lam], [povm.eta / povm.lam]])
-    return float(_overlap_local(mu, s, *_spectra(mu, g, seed))[0])
+    return float(_overlap_at(check_order(s), _overlap_state(mu, g, seed))[0])
 
 
-def _overlap_local(mu, s, c, m):
-    """:func:`s_overlap_local` over a batch of eigenvalue pairs ``(2, n)``."""
+class _OverlapState(NamedTuple):
+    """The terms of :func:`s_overlap_local` that do not depend on ``s``, over a batch of
+    seeds: the spectra ``c`` and ``m``, each ``(2, n)``, ``nu = sqrt(c_0 c_1)``, and the
+    :func:`_weight_logs` of ``mu`` and of ``nu``; ``nu_logs`` is None where a rounded
+    ``nu`` lies below 1."""
+
+    mu: float
+    c: np.ndarray
+    m: np.ndarray
+    nu: np.ndarray
+    mu_logs: tuple
+    nu_logs: tuple | None
+
+
+def _overlap_state(mu, g, seed):
+    """:class:`_OverlapState` of the checked ``(mu, g)`` for the seed eigenvalues ``(2, n)``.
+    An exact ``nu`` is at least 1; a rounded one may not be, as when ``g = mu - 1``
+    rounds to ``mu`` above 2^53, and :func:`_overlap_at` then fails."""
+    c, m = _spectra(mu, g, seed)
     nu = np.sqrt(c[0] * c[1])
-    _check_weight_args(s, nu)
-    g_mu, lam_mu = overlap_weights(s, mu)
-    g_nu, lam_nu = overlap_weights(1.0 - s, nu)
-    d = lam_mu + lam_nu * c / nu + m
+    nu_logs = _weight_logs(nu) if np.greater_equal(nu, 1.0).all() else None
+    return _OverlapState(mu, c, m, nu, _weight_logs(mu), nu_logs)
+
+
+def _overlap_at(s, state):
+    """:func:`s_overlap_local` at the checked order ``s`` over the batch of ``state``."""
+    if state.nu_logs is None:
+        raise NumericalError(f"conditional spectrum rounds below vacuum at mu={state.mu!r}")
+    g_mu, lam_mu = _weights_at(s, state.mu_logs)
+    g_nu, lam_nu = _weights_at(1.0 - s, state.nu_logs)
+    d = lam_mu + lam_nu * state.c / state.nu + state.m
     return 2.0 * g_mu * g_nu / np.sqrt(d[0] * d[1])
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _scan_state(mu, g):
+    """:func:`_overlap_state` of ``_SCAN_SEEDS`` at the checked ``(mu, g)``, cached: the
+    five orders and the fidelity scan of one point build it once.  Read-only."""
+    state = _overlap_state(mu, g, _SCAN_SEEDS)
+    for array in (state.c, state.m, state.nu, *(state.nu_logs or ())):
+        array.flags.writeable = False
+    return state
 
 
 def _heterodyne_sides(mu):
@@ -429,12 +464,17 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
 
     Evaluates the rank-1, angle-0 POVM family over the 41 log-spaced
     asymmetries of ``LAMBDA_SCAN_GRID`` in [1, 10] as one stack; the
-    asymmetries in [0.1, 1) are the same POVMs turned by pi/2.  Raises
-    :class:`ReportFailure` if an entry lies below the one at lambda = 1.
+    asymmetries in [0.1, 1) are the same POVMs turned by pi/2.  The ``s``-free
+    half of the overlap (the spectra, ``nu`` and the weight logs of ``mu`` and
+    ``nu``) is read from a cache of the last 8 ``(mu, g)``, which the fidelity
+    scan shares; each entry is exactly :func:`s_overlap_local` at its ``lambda``.
+    Raises :class:`ReportFailure` if an entry lies below the one at lambda = 1,
+    and :class:`NumericalError` if ``nu`` rounds below 1, as at the separability
+    edge above ``mu = 2^53``.
     """
     mu = check_mu(mu)
     g = check_correlation(mu, g)
-    values = _overlap_local(mu, check_order(s), *_spectra(mu, g, _SCAN_SEEDS))
+    values = _overlap_at(check_order(s), _scan_state(mu, g))
     return _scan(values, mu, g, s, "overlap scan")
 
 
@@ -496,5 +536,6 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     """
     mu = check_mu(mu)
     gval = check_correlation(mu, mu - 1.0 if g is None else g)
-    values = _averaged_fidelity(mu, *_spectra(mu, gval, _SCAN_SEEDS))
+    state = _scan_state(mu, gval)
+    values = _averaged_fidelity(mu, state.c, state.m)
     return _scan(values, mu, gval, None, "fidelity scan")

@@ -33,9 +33,11 @@ from gaussdisc.local_bounds import (
     SEARCH_STEPS,
     _averaged_fidelity,
     _fidelity_integrand,
-    _overlap_local,
+    _overlap_at,
+    _overlap_state,
     _passes,
     _scan,
+    _scan_state,
     _spectra,
     chernoff_overlap_local,
     lower_bound_local,
@@ -162,8 +164,8 @@ def test_scan_covers_the_mirrored_asymmetries_up_to_rotation(mu, g, s):
     # sees the angle, gives it the scan entry at lambda.  The entries come
     # from the scan kernels, without the verdict, which rounding decides
     # next to mu = 1
-    spectra = _spectra(mu, g, _SCAN_SEEDS)
-    overlaps, fidelities = _overlap_local(mu, s, *spectra), _averaged_fidelity(mu, *spectra)
+    state = _overlap_state(mu, g, _SCAN_SEEDS)
+    overlaps, fidelities = _overlap_at(s, state), _averaged_fidelity(mu, state.c, state.m)
     for i, lam in enumerate(LAMBDA_SCAN_GRID.tolist()):
         for povm in (GaussianPovm(1.0, 0.0, 1.0 / lam), GaussianPovm(1.0, math.pi / 2.0, lam)):
             prep = condition_on_povm(mu, g, povm)
@@ -439,6 +441,57 @@ def test_scan_entries_are_single_point_evaluations(mu, g, s):
         povm = GaussianPovm(1.0, 0.0, lam)
         assert overlap_scan.values[i] == s_overlap_local(mu, s, povm, g=g)
         assert fidelity_scan.values[i] == averaged_fidelity_bound(mu, lam, g=g)
+
+
+def _hexes_of_point(mu, g):
+    """Every scan entry at ``(mu, g)``, five overlap orders and the fidelity scan, as hex."""
+    scans = [verify_heterodyne_optimality(mu, g, s) for s in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    scans.append(verify_fidelity_optimality(mu, g))
+    return [_hexes(scan.values) for scan in scans]
+
+
+@pytest.mark.parametrize("mu, frac", [(1.1, 1.0), (2.0, 0.5), (4.0, 0.375), (31.0, 1.0)])
+def test_one_point_builds_its_scan_state_once(mu, frac):
+    g = frac * (mu - 1.0)
+    _scan_state.cache_clear()
+    warm = _hexes_of_point(mu, g)
+    info = _scan_state.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+    # a rebuilt state gives the same bits
+    _scan_state.cache_clear()
+    assert _hexes_of_point(mu, g) == warm
+
+
+def test_scan_state_is_read_only():
+    state = _scan_state(3.0, 1.5)
+    for array in (state.c, state.m, state.nu, *state.nu_logs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the scans still build their values in fresh arrays
+    values = verify_heterodyne_optimality(3.0, 1.5, 0.5).values
+    values[0] = 0.0
+    assert verify_heterodyne_optimality(3.0, 1.5, 0.5).values[0] != 0.0
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 1.5, math.nan])
+def test_bad_order_at_a_warm_point_is_a_domain_error(s):
+    verify_heterodyne_optimality(2.0, 1.0, 0.5)
+    with pytest.raises(DomainError, match="order parameter"):
+        verify_heterodyne_optimality(2.0, 1.0, s)
+
+
+def test_separability_edge_above_2_to_53_is_a_numerical_error():
+    # g = mu - 1 rounds to mu, which takes the rounded nu below 1 at a valid input
+    mu = 1e16
+    with pytest.raises(NumericalError, match=r"mu=1e\+16") as raised:
+        verify_heterodyne_optimality(mu, mu - 1.0, 0.5)
+    assert "\n" not in str(raised.value)
+    with pytest.raises(NumericalError, match=r"mu=1e\+16"):
+        s_overlap_local(mu, 0.5, GaussianPovm(1.0, 0.0, 2.0))
+    # the order is checked first, and the fidelity scan, which takes no nu, passes
+    with pytest.raises(DomainError, match="order parameter"):
+        verify_heterodyne_optimality(mu, mu - 1.0, 1.5)
+    assert verify_fidelity_optimality(mu).min_lambda == 1.0
 
 
 def test_hermite_rule_is_exactly_symmetric():

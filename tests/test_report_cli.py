@@ -228,6 +228,13 @@ def test_cli_verify_het_takes_uncorrelated_points():
         assert "FAIL" not in proc.stdout
 
 
+def test_cli_verify_het_above_2_to_53_is_one_invariant_line():
+    # at the separability edge g = mu - 1 rounds to mu: a valid input, so not a usage error
+    proc = run_cli("verify-het", "--mu", "1e16", "--g-frac", "1")
+    assert proc.returncode == 5
+    assert proc.stderr.count("\n") == 1 and "mu=1e+16" in proc.stderr
+
+
 def test_cli_verify_het_empty_range():
     proc = run_cli("verify-het", "--mu")
     assert proc.returncode == 2
