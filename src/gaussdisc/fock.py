@@ -15,10 +15,13 @@ matrix is the symmetric normal form with correlations at the separable edge.
 Both modes of a pair carry the same ``alpha``, so ``rho = V M V^T`` exactly
 (:func:`_sector_form`), with ``M`` of order ``2 cutoff - 1``, block diagonal in
 ``(n1 + n2) mod 4`` and built from one node per orbit of the grid under
-``alpha -> i alpha`` and ``alpha -> alpha^*``: the overlaps take their spectrum
-from four real blocks of about ``cutoff / 2`` rows instead of a dense
-eigendecomposition, and the moments are weighted sums along the few bands of
-``rho`` that ladder products fill, with weights built once per shape.
+``alpha -> i alpha`` and ``alpha -> alpha^*``.  The four blocks are one
+zero-padded ``(4, m, m)`` stack, ``m = ceil((2 cutoff - 1) / 4)``, built by one
+batched product and cached per point, so the overlaps and the dense state of
+one ``(mu, config)`` share it: the overlaps take their spectrum from one
+stacked real ``eigh`` instead of a dense eigendecomposition, and the moments
+are weighted sums along the few bands of ``rho`` that ladder products fill,
+with weights built once per shape.
 """
 
 from __future__ import annotations
@@ -103,17 +106,22 @@ def _check_trace(trace: float, what: str, config: FockConfig) -> None:
 
 def build_thermal(n_bar: float, config: FockConfig) -> np.ndarray:
     """Truncated thermal state; diagonal, deliberately not renormalized."""
+    return np.diag(_thermal_diagonal(n_bar, config))
+
+
+def _thermal_diagonal(n_bar: float, config: FockConfig) -> np.ndarray:
+    """The diagonal of :func:`build_thermal`, checked as it is."""
     if not (math.isfinite(n_bar) and n_bar >= 0.0):
         raise DomainError(f"mean photon number must be finite and nonnegative, got {n_bar}")
     # at n_bar = 0 this is exactly the vacuum: 0.0 ** 0 == 1.0
     diag = (1.0 / (n_bar + 1.0)) * (n_bar / (n_bar + 1.0)) ** np.arange(config.cutoff)
     _check_trace(float(diag.sum()), "thermal state", config)
-    return np.diag(diag)
+    return diag
 
 
 def build_thermal_product(mu: float, config: FockConfig) -> np.ndarray:
     """Two identical uncorrelated thermal modes with variance ``mu``."""
-    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
+    single = _thermal_diagonal((check_mu(mu) - 1.0) / 2.0, config)
     return np.diag(np.outer(single, single).ravel())
 
 
@@ -141,8 +149,11 @@ def _orbit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(x + 1j * y), _read_only(size * w[i] * w[j])
 
 
-def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``M``, each box state's sector ``N`` and its entry ``v_N(n1)`` of ``V``: ``rho = V M V^T``.
+@functools.lru_cache(maxsize=8)
+def _sector_form(mu: float, config: FockConfig) -> np.ndarray:
+    """The four blocks ``M[k::4, k::4]`` of ``M`` with ``rho = V M V^T``, stacked
+    (:func:`_by_residue`), at the checked ``mu``; cached, so that the overlaps and
+    :func:`build_correlated` of one point build it once.  Read-only.
 
     The pair ``|alpha, alpha>`` has amplitude ``e^(-|alpha|^2) alpha^N /
     sqrt(n1! n2!)``, so in the box it is ``sqrt(share[N]) <N|sqrt(2) alpha>``
@@ -152,27 +163,33 @@ def _sector_form(mu: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray,
     ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero,
     and there, where ``N = N' (mod 4)``, both nodes add the same; a conjugate
     node adds the same to the real ``M``.  So ``B`` holds one column per orbit
-    of the grid (:func:`_orbit_rule`), weighted by the orbit's size.
+    of the grid (:func:`_orbit_rule`), weighted by the orbit's size.  A padded
+    row of ``B`` is zero, and so are its row and column of the blocks.
     """
-    mu = check_mu(mu)
-    cutoff = config.cutoff
-    sector, share, embed = _sector_weights(cutoff)
+    _, share, _ = _sector_weights(config.cutoff)
     grid, weight = _orbit_rule(config.modulation_nodes)
-    factor = coherent_state(math.sqrt((mu - 1.0) / 2.0) * grid, 2 * cutoff - 1)
+    factor = coherent_state(math.sqrt((mu - 1.0) / 2.0) * grid, 2 * config.cutoff - 1)
     factor *= np.sqrt(np.outer(share, weight))
     _check_trace(float(np.vdot(factor, factor).real), "correlated state", config)
-    factor = np.concatenate([factor.real, factor.imag], axis=1)
-    sectors = np.zeros((2 * cutoff - 1,) * 2)
-    for k in range(4):
-        sectors[k::4, k::4] = factor[k::4] @ factor[k::4].T
-    return sectors, sector, embed
+    factor = _by_residue(np.concatenate([factor.real, factor.imag], axis=1))
+    return _read_only(factor @ factor.transpose(0, 2, 1))
+
+
+def _by_residue(rows: np.ndarray) -> np.ndarray:
+    """``rows``, indexed by the sector ``N``, as a ``(4, m) + rows.shape[1:]`` stack
+    with ``[k, i] = rows[4 i + k]``: zero-padded to ``4 m`` rows, ``m = ceil(len / 4)``."""
+    m = -(-len(rows) // 4)
+    padded = np.zeros((4 * m,) + rows.shape[1:])
+    padded[: len(rows)] = rows
+    return padded.reshape((m, 4) + rows.shape[1:]).swapaxes(0, 1)
 
 
 @functools.lru_cache(maxsize=8)
 def _sector_weights(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`_sector_form` needs of the box, per cutoff; read-only: each box
-    state's sector ``N``, the box mass ``share[N]`` of Binomial(N, 1/2) (1 below
-    the cutoff) and each box state's entry ``v_N(n1) = sqrt(binom / share[N])``."""
+    """What :func:`_sector_form` and :func:`build_correlated` need of the box, per
+    cutoff; read-only: each box state's sector ``N``, the box mass ``share[N]`` of
+    Binomial(N, 1/2) (1 below the cutoff) and each box state's entry
+    ``v_N(n1) = sqrt(binom / share[N])``."""
     n = np.arange(cutoff)
     sector = (n[:, None] + n).ravel()
     # C(N, n1) / 2**N down each column n2 = N - n1, by the factor N / (2 n1)
@@ -193,7 +210,13 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
     covariance matrix is the symmetric normal form with correlations
     ``mu - 1`` on both quadratures.
     """
-    sectors, sector, embed = _sector_form(mu, config)
+    blocks = _sector_form(check_mu(mu), config)
+    sector, _, embed = _sector_weights(config.cutoff)
+    m = blocks.shape[1]
+    # M[4 i + k, 4 j + k] = blocks[k, i, j], zero-padded like the blocks
+    sectors = np.zeros((m, 4, m, 4))
+    sectors[:, range(4), :, range(4)] = blocks
+    sectors = sectors.reshape(4 * m, 4 * m)
     # rho[x, y] = v(x) M[N(x), N(y)] v(y), with one dense temporary
     rho = (sectors[sector] * embed[:, None])[:, sector]
     rho *= embed
@@ -215,7 +238,7 @@ def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     config = FockConfig(cutoff)
     mean = check_displacement(mean, "quadrature mean")
     alpha = (mean[0] + 1j * mean[1]) / 2.0
-    thermal = np.diag(build_thermal(n_bar, config))
+    thermal = _thermal_diagonal(n_bar, config)
     positions, kept = _position_spectrum(config.cutoff)
     phase = abs(alpha) * positions
     op = (kept * np.cos(phase)) @ kept.T - 1j * ((kept * np.sin(phase)) @ kept.T)
@@ -283,7 +306,7 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     _state_cutoff(1, rho_a, rho_b)
     root = _fractional_power(rho_a, 0.5)
     eigvals = checked_eigh(root @ rho_b @ root, values_only=True)
-    return float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))) ** 2)
+    return float(np.sum(np.sqrt(np.maximum(eigvals, 0.0))) ** 2)
 
 
 def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, float]:
@@ -291,18 +314,22 @@ def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, floa
 
     With ``rho = V M V^T`` (:func:`_sector_form`) and the uncorrelated state
     ``D_N`` on each sector, ``Tr(D^s rho^(1-s)) = sum_N D_N^s [M^(1-s)]_NN``:
-    four real ``eigh`` calls of about ``cutoff / 2`` rows serve every order.
+    one stacked real ``eigh`` of the four blocks of ``M``, about ``cutoff / 2``
+    rows each, serves every order, and all orders are one array expression.  A
+    padded row has ``D_N = 0`` and a decoupled zero eigenvalue, so it adds
+    nothing.  The blocks are cached per ``(mu, config)``, so
+    :func:`build_correlated` at the same point reuses them.
     """
     orders = [float(check_order(s)) for s in s_values]
-    single = np.diag(build_thermal((check_mu(mu) - 1.0) / 2.0, config))
+    mu = check_mu(mu)
+    single = _thermal_diagonal((mu - 1.0) / 2.0, config)
     # D_N at the box state (0, N) for N < cutoff, then at (cutoff - 1, N - cutoff + 1)
-    thermal = np.concatenate([single[0] * single, single[-1] * single[1:]])
-    sectors = _sector_form(mu, config)[0]
-    spectra = [(thermal[k::4], *_checked_spectrum(sectors[k::4, k::4])) for k in range(4)]
-    return {
-        s: float(sum(diag**s @ (vecs**2 @ lam ** (1.0 - s)) for diag, lam, vecs in spectra))
-        for s in orders
-    }
+    thermal = _by_residue(np.concatenate([single[0] * single, single[-1] * single[1:]]))
+    lam, vecs = _checked_spectrum(_sector_form(mu, config))
+    s = np.array(orders)[:, None, None]
+    # per order and block: D^s [M^(1-s)]_NN summed over the block's rows N
+    terms = (thermal**s)[..., None, :] @ (vecs**2 @ (lam ** (1.0 - s))[..., None])
+    return dict(zip(orders, terms.sum(axis=(1, 2, 3)).tolist()))
 
 
 def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, float]:
@@ -366,13 +393,13 @@ def quadrature_moments(rho: np.ndarray, n_modes: int = 1) -> tuple[np.ndarray, n
 
     def band(offset: int, weight: np.ndarray) -> list:
         # <L>, <L^dag> for the L with entries ``weight`` on the band ``offset`` above the diagonal
-        return [(rho.diagonal(k) * weight).sum() for k in (-offset, offset)]
+        return [np.dot(rho.diagonal(k), weight) for k in (-offset, offset)]
 
     first, second = [], []
     for rise, square, middle in modes:
         first += band(*rise)
         lowered, raised = band(*square)
-        centre = (rho.diagonal() * middle).sum()
+        centre = np.dot(rho.diagonal(), middle)
         second.append(np.array([[lowered, centre], [centre, raised]]))
     if cross:
         # a (x) a on the band cutoff + 1 and a (x) a^dag on cutoff - 1, with their adjoints

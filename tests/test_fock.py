@@ -394,10 +394,17 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     rules = [*fock._orbit_rule(16), *fock._orbit_rule(9)]
     rules += [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
     rules += [*fock._sector_weights(12), *fock._sector_weights(10)]
+    rules += [fock._sector_form(1.8, FockConfig(12, 16)), fock._sector_form(1.6, FockConfig(10, 9))]
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    caches = (fock._orbit_rule, fock._position_spectrum, fock._ladder_weights, fock._sector_weights)
+    caches = (
+        fock._orbit_rule,
+        fock._position_spectrum,
+        fock._ladder_weights,
+        fock._sector_weights,
+        fock._sector_form,
+    )
     for cache in caches:
         cache.cache_clear()
     assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)
@@ -405,6 +412,13 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     assert hexes(build_correlated(1.6, FockConfig(10, 9))) == hexes(rho)
     again = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
     assert [hexes(x) for x in again] == [hexes(x) for x in moments]
+    # the state at a point whose overlaps were just taken, from the cached blocks, against a cold one
+    config = FockConfig(20, 16)
+    s_overlap_converged(1.7, [0.3, 0.7], config)
+    warm = build_correlated(1.7, config)
+    fock._sector_form.cache_clear()
+    assert hexes(warm) == hexes(build_correlated(1.7, config))
+    assert warm.flags.writeable
 
 
 @pytest.mark.parametrize("nodes", [8, 9, 16, 17])
