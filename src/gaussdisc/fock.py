@@ -22,6 +22,14 @@ one ``(mu, config)`` share it: the overlaps take their spectrum from one
 stacked real ``eigh`` instead of a dense eigendecomposition, and the moments
 are weighted sums along the few bands of ``rho`` that ladder products fill,
 with weights built once per shape.
+
+The generic one-mode oracles work on the support of a state
+(:func:`_support`): its eigenvalues above ``EIG_CLAMP``, largest first, and
+their eigenvectors.  A number-diagonal state, such as the thermal state, is
+its own spectrum, so it needs no ``eigh`` and its support is a selection of
+number states.  :func:`oracle_fidelity` then diagonalizes only the support
+block of ``sqrt(a) b sqrt(a)``: for the conditional states of the
+``oracle-check`` span, 8 to 32 rows in place of the cutoff.
 """
 
 from __future__ import annotations
@@ -256,21 +264,60 @@ def _position_spectrum(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(positions), _read_only(basis[:cutoff])
 
 
-def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigvals, eigvecs = checked_eigh(rho)
+def _clamped(eigvals: np.ndarray) -> np.ndarray:
+    """The spectrum ``eigvals`` with solver noise below ``EIG_CLAMP`` set to 0; the one
+    check of a spectrum, NumericalError for a non-finite eigenvalue or one below
+    ``EIG_FLOOR`` (``min`` alone would let NaN through)."""
+    if not np.isfinite(eigvals).all():
+        raise NumericalError("operator has a non-finite eigenvalue")
     if eigvals.min() < EIG_FLOOR:
         raise NumericalError(
             f"operator has eigenvalue {eigvals.min():.3e} below {EIG_FLOOR:g}"
         )
-    eigvals = np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
-    return eigvals, eigvecs
+    return np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
+
+
+def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of ``rho`` (or of a stack), its eigenvalues :func:`_clamped`."""
+    eigvals, eigvecs = checked_eigh(rho)
+    return _clamped(eigvals), eigvecs
+
+
+def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support of the state ``rho``: its nonzero :func:`_clamped` eigenvalues
+    ``lam``, largest first, and a basis ``V`` of the matching eigenvectors.
+
+    A number-diagonal ``rho``, every off-diagonal entry exactly 0, is its own
+    spectrum: no ``eigh`` runs, and ``V`` is a selection of number states, given
+    as their indices (a 1-D array).  Otherwise ``V`` holds eigenvectors as
+    columns.  Either way the eigenvalues pass the one check of
+    :func:`_clamped`.  Largest first is the order of the number basis of a
+    thermal state, so both paths give a rotated and a plain state the same
+    support up to eigenvector phases, and a matrix built on it is graded with
+    its large entries first, which ``eigvalsh`` resolves best (see
+    :func:`oracle_fidelity`).
+    """
+    diagonal = rho.diagonal()
+    if np.count_nonzero(rho) == np.count_nonzero(diagonal):
+        lam = _clamped(diagonal.real)
+        keep = np.argsort(-lam, kind="stable")[: np.count_nonzero(lam)]
+        return lam[keep], keep
+    lam, vecs = _checked_spectrum(rho)
+    keep = np.flatnonzero(lam)[::-1]
+    return lam[keep], vecs[:, keep]
 
 
 def _fractional_power(rho: np.ndarray, power: float) -> np.ndarray:
-    eigvals, eigvecs = _checked_spectrum(rho)
-    with np.errstate(divide="ignore"):
-        scaled = np.where(eigvals > 0.0, eigvals**power, 0.0)
-    return (eigvecs * scaled) @ eigvecs.conj().T
+    """``rho**power``: ``V diag(lam**power) V^H`` on the :func:`_support`
+    ``(lam, V)`` of ``rho`` and 0 off it, so that no clamped eigenvalue is
+    raised to a power.  A number-diagonal ``rho`` is its own spectrum, so the
+    result is diagonal and no ``eigh`` runs."""
+    lam, basis = _support(rho)
+    if basis.ndim == 1:
+        result = np.zeros(rho.shape)
+        result[basis, basis] = lam**power
+        return result
+    return (basis * lam**power) @ basis.conj().T
 
 
 def _state_cutoff(n_modes: int, *states: np.ndarray) -> int:
@@ -293,7 +340,7 @@ def _state_cutoff(n_modes: int, *states: np.ndarray) -> int:
 
 
 def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
-    """Tr(rho0^s rho1^(1-s)) by direct eigendecomposition of both operators."""
+    """Tr(rho0^s rho1^(1-s)) from the :func:`_fractional_power` of both operators."""
     check_order(s)
     _state_cutoff(1, rho0, rho1)
     a = _fractional_power(rho0, s)
@@ -302,10 +349,38 @@ def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
 
 
 def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2``."""
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2``.
+
+    On the :func:`_support` ``(lam, V)`` of ``a``, ``sqrt(a) = V diag(r) V^H``
+    with ``r = sqrt(lam)``, so the nonzero eigenvalues of ``sqrt(a) b sqrt(a)``
+    are those of ``(V^H b V) * outer(r, r)``: exact, and one ``eigvalsh`` of
+    support size.  For a number-diagonal ``a`` such as a thermal state,
+    ``V^H b V`` is the sub-block of ``b`` on the kept number states, so neither
+    an ``eigh`` of ``a`` nor a dense product runs.
+
+    The support is ordered largest first, so the block's entries shrink down
+    its rows and columns.  ``eigvalsh`` keeps the small eigenvalues of that
+    grading far better than of the reverse one: over 40 seeded thermal and
+    displaced thermal pairs at cutoffs 20 to 60, rotating both states by a
+    random unitary moved the fidelity by at most 8.4e-14 in this order and by
+    3.4e-8 smallest first.  Only the block of ``b`` on the support of ``a``
+    enters; a non-finite eigenvalue of ``a`` or entry of that block is a
+    NumericalError.
+    """
     _state_cutoff(1, rho_a, rho_b)
-    root = _fractional_power(rho_a, 0.5)
-    eigvals = checked_eigh(root @ rho_b @ root, values_only=True)
+    lam, basis = _support(rho_a)
+    root = np.sqrt(lam)
+    # an infinite entry of b gives inf * 0 = NaN here, which the check below reports
+    with np.errstate(invalid="ignore"):
+        if basis.ndim == 1:
+            block = rho_b[np.ix_(basis, basis)]
+        else:
+            block = basis.conj().T @ rho_b @ basis
+        block = block * np.outer(root, root)
+    # eigvalsh reads one triangle, so its eigenvalues could hide a NaN in the other
+    if not np.isfinite(block).all():
+        raise NumericalError("fidelity operator has a non-finite entry")
+    eigvals = checked_eigh(block, values_only=True)
     return float(np.sum(np.sqrt(np.maximum(eigvals, 0.0))) ** 2)
 
 

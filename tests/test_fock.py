@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gaussdisc import (
     ConvergenceError,
     DomainError,
     FockConfig,
+    NumericalError,
     build_correlated,
     build_thermal,
     build_thermal_product,
@@ -213,6 +215,90 @@ def test_oracle_fidelity_matches_heterodyne_closed_form():
     assert oracle_fidelity(rho_a, rho_b) == pytest.approx(
         fidelity_heterodyne(mu, a), abs=1e-4
     )
+
+
+def _random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_oracle_fidelity_is_unitarily_invariant_and_symmetric(seed):
+    # the plain call takes the number-diagonal support of the thermal state,
+    # the rotated one an eigh; both order the support largest first
+    rng = np.random.default_rng(seed)
+    cutoff, n_bar = int(rng.integers(20, 61)), rng.uniform(0.02, 0.8)
+    a = build_thermal(n_bar, FockConfig(cutoff))
+    b = displaced_thermal(n_bar, rng.uniform(-1.5, 1.5, 2), cutoff)
+    q = _random_unitary(rng, cutoff)
+    fidelity = oracle_fidelity(a, b)
+    assert abs(oracle_fidelity(q @ a @ q.conj().T, q @ b @ q.conj().T) - fidelity) < 1e-12
+    assert abs(oracle_fidelity(b, a) - fidelity) < 1e-9
+
+
+def test_number_diagonal_support_runs_one_eigh_of_support_size(monkeypatch):
+    sizes = []
+
+    def counted(matrix, values_only=False):
+        sizes.append(matrix.shape)
+        return np.linalg.eigvalsh(matrix) if values_only else np.linalg.eigh(matrix)
+
+    a = build_thermal(0.4, FockConfig(60))
+    b = displaced_thermal(0.2, (0.5, -0.3), 60)
+    lam, basis = fock._support(a)
+    assert basis.ndim == 1 and len(lam) == len(basis) < 60
+    assert np.all(np.diff(lam) < 0.0) and lam.min() >= EIG_CLAMP
+    monkeypatch.setattr(fock, "checked_eigh", counted)
+    oracle_fidelity(a, b)
+    assert sizes == [(len(basis), len(basis))]
+
+
+def test_fractional_power_of_a_number_diagonal_state_matches_its_rotation():
+    a = build_thermal(0.4, FockConfig(30))
+    b = displaced_thermal(0.2, (0.5, -0.3), 30)
+    q = _random_unitary(np.random.default_rng(5), 30)
+    for power in (0.3, 0.5, 0.7):
+        diagonal = fock._fractional_power(a, power)
+        rotated = fock._fractional_power(q @ a @ q.conj().T, power)
+        # a small power amplifies the eigensolver's noise on eigenvalues near EIG_CLAMP
+        assert np.abs(q @ diagonal @ q.conj().T - rotated).max() < 1e-8
+        plain = oracle_s_overlap(a, b, power)
+        assert abs(oracle_s_overlap(q @ a @ q.conj().T, q @ b @ q.conj().T, power) - plain) < 1e-12
+
+
+def _with_entry(rho, value, at=(1, 1)):
+    rho = rho.astype(complex)
+    rho[at] = value
+    return rho
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b, bad: oracle_fidelity(_with_entry(a, bad), b),
+        lambda a, b, bad: oracle_fidelity(a, _with_entry(b, bad)),
+        # in the triangle of the support block that eigvalsh does not read
+        lambda a, b, bad: oracle_fidelity(a, _with_entry(b, bad, (0, 1))),
+        lambda a, b, bad: oracle_s_overlap(_with_entry(a, bad), b, 0.5),
+        lambda a, b, bad: oracle_s_overlap(a, _with_entry(b, bad), 0.5),
+    ],
+    ids=["fidelity-a", "fidelity-b", "fidelity-b-upper", "overlap-0", "overlap-1"],
+)
+def test_non_finite_state_is_a_numerical_error(call, bad):
+    a = build_thermal(0.4, FockConfig(20))
+    b = displaced_thermal(0.2, (0.5, -0.3), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            call(a, b, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_diagonal_names_the_eigenvalue(bad):
+    rho = _with_entry(build_thermal(0.4, FockConfig(20)), bad)
+    with pytest.raises(NumericalError, match="^operator has a non-finite eigenvalue$"):
+        fock._support(rho)
 
 
 def test_partial_trace_validation():
