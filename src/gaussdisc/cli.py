@@ -33,8 +33,9 @@ ORACLE_TOL = 1e-3
 
 def cmd_point(args: argparse.Namespace) -> int:
     report = discrimination_report(args.mu)
+    # JSON has no NaN or infinity: ratio_db is NaN at mu = 1 and +inf where kappa_loc rounds to 0
     payload = {
-        name: (None if math.isnan(getattr(report, name)) else getattr(report, name))
+        name: (getattr(report, name) if math.isfinite(getattr(report, name)) else None)
         for name in REPORT_FIELDS
     }
     print(json.dumps(payload, indent=2))

@@ -333,16 +333,27 @@ def _state_cutoff(n_modes: int, *states: np.ndarray) -> int:
         if dim not in (None, shape[0]):
             raise DomainError(f"states must have the same dimension, got {dim} and {shape[0]}")
         dim = shape[0]
+    if dim == 0:
+        raise DomainError("state must not be empty, got shape (0, 0)")
     cutoff = math.isqrt(dim) if n_modes == 2 else dim
     if cutoff**n_modes != dim:
         raise DomainError(f"dimension {dim} is not a square")
     return cutoff
 
 
+def _oracle_pair(rho_a: np.ndarray, rho_b: np.ndarray) -> None:
+    """Check two one-mode states for the oracle: one shape (:func:`_state_cutoff`), and
+    every entry finite, which ``eigh`` and ``eigvalsh`` do not see, as they read one
+    triangle; else NumericalError."""
+    _state_cutoff(1, rho_a, rho_b)
+    if not (np.isfinite(rho_a).all() and np.isfinite(rho_b).all()):
+        raise NumericalError("state has a non-finite entry")
+
+
 def oracle_s_overlap(rho0: np.ndarray, rho1: np.ndarray, s: float) -> float:
     """Tr(rho0^s rho1^(1-s)) from the :func:`_fractional_power` of both operators."""
     check_order(s)
-    _state_cutoff(1, rho0, rho1)
+    _oracle_pair(rho0, rho1)
     a = _fractional_power(rho0, s)
     b = _fractional_power(rho1, 1.0 - s)
     return float(np.sum(a * b.T).real)
@@ -364,22 +375,16 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     displaced thermal pairs at cutoffs 20 to 60, rotating both states by a
     random unitary moved the fidelity by at most 8.4e-14 in this order and by
     3.4e-8 smallest first.  Only the block of ``b`` on the support of ``a``
-    enters; a non-finite eigenvalue of ``a`` or entry of that block is a
-    NumericalError.
+    enters; a non-finite entry of either state is a NumericalError.
     """
-    _state_cutoff(1, rho_a, rho_b)
+    _oracle_pair(rho_a, rho_b)
     lam, basis = _support(rho_a)
     root = np.sqrt(lam)
-    # an infinite entry of b gives inf * 0 = NaN here, which the check below reports
-    with np.errstate(invalid="ignore"):
-        if basis.ndim == 1:
-            block = rho_b[np.ix_(basis, basis)]
-        else:
-            block = basis.conj().T @ rho_b @ basis
-        block = block * np.outer(root, root)
-    # eigvalsh reads one triangle, so its eigenvalues could hide a NaN in the other
-    if not np.isfinite(block).all():
-        raise NumericalError("fidelity operator has a non-finite entry")
+    if basis.ndim == 1:
+        block = rho_b[np.ix_(basis, basis)]
+    else:
+        block = basis.conj().T @ rho_b @ basis
+    block = block * np.outer(root, root)
     eigvals = checked_eigh(block, values_only=True)
     return float(np.sum(np.sqrt(np.maximum(eigvals, 0.0))) ** 2)
 

@@ -30,24 +30,21 @@ from .global_bounds import (
 #: pi/2, so the scans take only lam >= 1: the upper half of the 81 log-spaced
 #: points in [0.1, 10], from exactly 1.0 at index 0
 LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)[40:]
-#: the bracketed search over s evaluates this many evenly spaced points per
-#: step, both ends of the bracket included, and keeps the two intervals next
-#: to the best one: each step leaves at most 2/15 of the bracket, so 12
-#: steps take it from the whole interval to below 1e-10
-SEARCH_POINTS = 16
-SEARCH_STEPS = 12
-_SEARCH_GRID = np.linspace(0.0, 1.0, SEARCH_POINTS)
-#: long grids run in passes that keep each work array below the 128 KiB from
-#: which glibc maps a request afresh: whole, 200,000 points took the search twice
-#: as long (2 CPUs).  Fixed-size kernels run whole: glibc keeps a repeated request
-#: on the heap.  Less 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
+#: the local Chernoff search: a coarse step over 16 evenly spaced orders ``(s, 1 - s)``,
+#: both clips included, stacked down the middle axis; then at most ``_NEWTON_CAP`` Newton steps
+_COARSE_S = np.linspace(*S_INTERVAL, 16)
+_COARSE_ORDERS = np.array([_COARSE_S, 1.0 - _COARSE_S])[..., None]
+_NEWTON_TOL, _NEWTON_CAP = 1e-10, 64
+#: long grids run in passes that keep each work array below the 128 KiB from which glibc
+#: maps a request afresh (whole, 200,000 points took the search 1.15x the time and 6x the
+#: memory, 2 CPUs); fixed-size kernels run whole, as glibc keeps a repeated request on the
+#: heap.  Less 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
 _HEAP_REQUEST = 128 * 1024 - 24
 
 
 def _passes(size: int, row_bytes: int) -> list[slice]:
-    """Slices that cover ``size`` rows in passes whose work arrays, of
-    ``row_bytes`` per row, stay within ``_HEAP_REQUEST``.  A kernel that
-    computes every row on its own gives the same bits in any passes."""
+    """Slices that cover ``size`` rows in passes whose work arrays, of ``row_bytes`` per row,
+    stay within ``_HEAP_REQUEST``; a kernel that computes each row alone gives the same bits."""
     rows = max(1, _HEAP_REQUEST // row_bytes)
     return [slice(start, start + rows) for start in range(0, size, rows)]
 
@@ -237,12 +234,8 @@ def _heterodyne_at(orders, sides):
 
 
 def overlap_heterodyne(mu, s):
-    """Elementwise :func:`s_overlap_heterodyne` over arrays; ``mu`` is not checked.
-
-    Both weight sides, ``s`` at ``x = mu`` and ``1 - s`` at ``x = 1 + eps``,
-    run as one stacked evaluation: the one that every step of
-    :func:`chernoff_overlap_local` runs.
-    """
+    """Elementwise :func:`s_overlap_heterodyne` over arrays, ``mu`` not checked: both weight
+    sides, ``s`` at ``x = mu`` and ``1 - s`` at ``x = 1 + eps``, as one stacked evaluation."""
     # the side axis leads, so arrays of two shapes are broadcast to one first
     if getattr(mu, "shape", ()) != getattr(s, "shape", ()):
         mu, s = np.broadcast_arrays(mu, s)
@@ -257,65 +250,72 @@ def s_overlap_heterodyne(mu: float, s: float) -> float:
     return float(check_exponent(mu, q, "s_overlap_heterodyne"))
 
 
-def minimum_over_s(overlap, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize an overlap over ``S_INTERVAL`` for ``size`` rows at once.
-
-    Each step calls ``overlap(orders)`` once: ``orders`` stacks ``s`` and
-    ``1 - s`` as one ``(2, size, SEARCH_POINTS)`` buffer, which every step
-    refills, and ``overlap`` returns the ``(size, SEARCH_POINTS)`` overlaps
-    at ``s``.  The overlap is elementwise and log-convex in ``s``, so the
-    minimum over the points of one step lies within one grid interval of the
-    minimizer, and the next step searches the two intervals around it.  The
-    first step evaluates both clip points exactly.  Each row takes the same
-    steps, so a row's result does not depend on the other rows.  Returns
-    ``(s_star, minimum)``.
-    """
-    row_start = np.arange(0, size * SEARCH_POINTS, SEARCH_POINTS)
-    orders = np.empty((2, size, SEARCH_POINTS))
-    s = orders[0]
-    lo, hi = np.full(size, S_INTERVAL[0]), np.full(size, S_INTERVAL[1])
-    s_star, q_min = lo, np.full(size, np.inf)
-    for _ in range(SEARCH_STEPS):
-        np.multiply((hi - lo)[:, None], _SEARCH_GRID, out=s)
-        s += lo[:, None]
-        s[:, -1] = hi
-        np.subtract(1.0, s, out=orders[1])
-        q = overlap(orders)
-        best = q.argmin(axis=1)
-        # flat indices of each row's best point into q and s
-        flat = row_start + best
-        q_best = q.take(flat)
-        better = q_best < q_min
-        s_star = np.where(better, s.take(flat), s_star)
-        q_min = np.where(better, q_best, q_min)
-        lo = s.take(flat - (best > 0))
-        hi = s.take(flat + (best < SEARCH_POINTS - 1))
-    return s_star, q_min
+def _log_heterodyne(s, sides):
+    """``ln Q_s`` of :func:`overlap_heterodyne` and its first two ``s``-derivatives at the
+    orders ``s``, in closed form from the :func:`_heterodyne_sides` of ``mu``.  With
+    ``o = (s, 1 - s)``, the weight logs ``(R, L)``, ``gap = -expm1(o R)`` and the width
+    sum ``D``, ``ln Q = ln 2 + sum_sides (o L - ln gap) - ln D``, where
+    ``P = gap_0 gap_1 D = 2 (gap_0 + gap_1) + gap_0 gap_1 (shift - 2)`` neither overflows
+    nor cancels.  A gap's ``o``-derivatives are ``-R e^(o R)`` and ``-R^2 e^(o R)``."""
+    (log_ratio, log_scale), shift = sides
+    orders = np.array([s, 1.0 - s])
+    t = orders * log_ratio
+    gap, slope = -np.expm1(t), -log_ratio * np.exp(t)
+    curve, k = log_ratio * slope, shift - 2.0
+    c = 2.0 + gap[::-1] * k  # dP / d gap, side by side
+    p = 2.0 * (gap[0] + gap[1]) + gap[0] * gap[1] * k
+    p_s = (slope[0] * c[0] - slope[1] * c[1]) / p
+    p_ss = (curve[0] * c[0] + curve[1] * c[1] - 2.0 * k * slope[0] * slope[1]) / p
+    log_q = math.log(2.0) + orders[0] * log_scale[0] + orders[1] * log_scale[1] - np.log(p)
+    return log_q, log_scale[0] - log_scale[1] - p_s, p_s * p_s - p_ss
 
 
 def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked.
 
-    The ``mu``-only terms of the overlap are formed once per pass of rows, before its
-    search; :func:`check_exponent` fails its overflow, from about ``mu = 1.8e302``.
+    ``ln Q_s`` is convex in ``s``: the coarse step brackets each row's minimizer by the
+    two intervals around its best point.  Newton on :func:`_log_heterodyne` runs from
+    the bracket's middle, bisecting where a step leaves it, until ``|slope| <=
+    _NEWTON_TOL * curvature`` or the bracket collapses: at a clip, or near ``mu = 1``,
+    where the slope is rounding noise.  ``q`` is the overlap at ``s_star`` evaluated in
+    long double: correctly rounded, and so at most 1, where that is wider than double
+    (x86-64).  :func:`check_exponent` fails an overflow, from about ``mu = 1.8e302``; a
+    row not stopped after ``_NEWTON_CAP`` steps is a NumericalError naming its ``mu``.
     """
     s_star, q = np.empty((2, mu.shape[0]))
-    # the search works on (2, rows, SEARCH_POINTS) arrays
+    # the coarse step's orders are the largest work array
+    for rows in _passes(mu.shape[0], _COARSE_ORDERS.nbytes):
+        s_star[rows], q[rows] = _search(mu[rows])
+    return s_star, q
+
+
+def _search(mu):
+    """:func:`chernoff_overlap_local` over one pass of rows."""
     with np.errstate(all="ignore"):
-        for rows in _passes(mu.shape[0], 2 * SEARCH_POINTS * 8):
-            part = mu[rows]
-            sides = _heterodyne_sides(part[:, None])
-            s_star[rows], q[rows] = minimum_over_s(
-                lambda orders: _heterodyne_at(orders, sides), part.shape[0]
-            )
-    return s_star, check_exponent(mu, q, "kappa_loc")
+        logs, shift = sides = _heterodyne_sides(mu)
+        coarse = _heterodyne_at(_COARSE_ORDERS, ([x[:, None] for x in logs], shift))
+        # an overflow fails here, before it can misplace a bracket
+        check_exponent(mu, coarse.min(axis=0), "kappa_loc")
+        best = coarse.argmin(axis=0)
+        lo, hi = _COARSE_S[np.clip([best - 1, best + 1], 0, _COARSE_S.size - 1)]
+        # within an ulp of mu = 1 the weights are those of x = 1: Q = 1 for every s
+        s, stopped = 0.5 * (lo + hi), np.isneginf(logs[0][0])
+        for _ in range(_NEWTON_CAP):
+            _, slope, curve = _log_heterodyne(s, sides)
+            lo, hi = np.where(slope <= 0.0, s, lo), np.where(slope >= 0.0, s, hi)
+            stopped |= (np.abs(slope) <= _NEWTON_TOL * curve) | (hi - lo <= _NEWTON_TOL * hi)
+            if stopped.all():
+                break
+            step = s - slope / curve
+            s = np.where(stopped, s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+    if not stopped.all():
+        raise NumericalError(f"kappa_loc search did not converge at mu={float(mu[~stopped][0])!r}")
+    return s, overlap_heterodyne(mu.astype(np.longdouble), s.astype(np.longdouble)).astype(float)
 
 
 def p_upper_local(mu: float) -> SOverlapResult:
-    """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``.
-
-    A batch of one of :func:`chernoff_overlap_local`.
-    """
+    """Chernoff-type upper bound for the local detector, ``min_s Q_s(het) / 2``: a batch
+    of one of :func:`chernoff_overlap_local`."""
     s_star, q = chernoff_overlap_local(np.array([check_mu(mu)]))
     return SOverlapResult(float(s_star[0]), float(q[0]), float(q[0]) / 2.0)
 

@@ -23,8 +23,9 @@ class DiscriminationReport:
 
     ``i_plus_*``/``i_minus_*`` are the upper/lower mutual-information bounds
     induced by the corresponding error bounds; ``ratio_db`` is NaN at
-    ``mu = 1`` where the exponent ratio is undefined.  The fields, in this
-    order, are the CSV columns (``REPORT_FIELDS``).
+    ``mu = 1`` where the exponent ratio is undefined, and +inf just above it,
+    where ``kappa_loc`` rounds to 0.  The fields, in this order, are the CSV
+    columns (``REPORT_FIELDS``).
     """
 
     mu: float
@@ -63,7 +64,8 @@ def _exponent_columns(mu_grid) -> dict[str, np.ndarray]:
     spread = mu > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(spread, -np.log(q_global), 0.0)
-        kappa_loc = np.where(spread, -np.log(q_local), 0.0)
+        # 0.0 - ln q, not -ln q: where q rounds to 1 the exponent is +0.0 and the ratio +inf
+        kappa_loc = np.where(spread, 0.0 - np.log(q_local), 0.0)
         ratio = np.where(spread, kappa / kappa_loc, np.nan)
         ratio_db = 10.0 * np.log10(ratio)
     return dict(

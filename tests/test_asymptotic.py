@@ -33,6 +33,15 @@ def test_exponents_at_mu_one_have_undefined_ratio():
     assert math.isnan(report.ratio) and math.isnan(report.ratio_db)
 
 
+def test_local_exponent_below_rounding_is_zero_with_infinite_ratio():
+    # just above mu = 1 the local overlap lies within half an ulp of 1, so
+    # kappa_loc rounds to +0.0, never -0.0, and the exponent ratio is +inf
+    report = exponents(1.000000003)
+    assert report.kappa > 0.0
+    assert report.kappa_loc == 0.0 and math.copysign(1.0, report.kappa_loc) == 1.0
+    assert report.ratio == report.ratio_db == math.inf
+
+
 def test_exponents_reject_mu_below_one():
     with pytest.raises(DomainError):
         exponents(0.8)

@@ -282,15 +282,22 @@ def _with_entry(rho, value, at=(1, 1)):
         lambda a, b, bad: oracle_fidelity(a, _with_entry(b, bad, (0, 1))),
         lambda a, b, bad: oracle_s_overlap(_with_entry(a, bad), b, 0.5),
         lambda a, b, bad: oracle_s_overlap(a, _with_entry(b, bad), 0.5),
+        # in the triangle that eigh does not read
+        lambda a, b, bad: oracle_fidelity(_with_entry(a, bad, (0, 1)), b),
+        lambda a, b, bad: oracle_s_overlap(_with_entry(a, bad, (0, 1)), b, 0.5),
+        lambda a, b, bad: oracle_s_overlap(a, _with_entry(b, bad, (0, 1)), 0.5),
     ],
-    ids=["fidelity-a", "fidelity-b", "fidelity-b-upper", "overlap-0", "overlap-1"],
+    ids=[
+        "fidelity-a", "fidelity-b", "fidelity-b-upper", "overlap-0", "overlap-1",
+        "fidelity-a-upper", "overlap-0-upper", "overlap-1-upper",
+    ],
 )
 def test_non_finite_state_is_a_numerical_error(call, bad):
     a = build_thermal(0.4, FockConfig(20))
     b = displaced_thermal(0.2, (0.5, -0.3), 20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="^state has a non-finite entry$"):
             call(a, b, bad)
 
 
@@ -420,6 +427,16 @@ def test_moments_reject_unsupported_shapes():
         lambda: oracle_fidelity(np.eye(4) / 4.0, np.eye(5) / 5.0),
     ):
         with pytest.raises(DomainError, match="^states must have the same dimension, got 4 and 5$"):
+            call()
+    empty = np.zeros((0, 0))
+    for call in (
+        lambda: quadrature_moments(empty),
+        lambda: quadrature_moments(empty, 2),
+        lambda: partial_trace(empty, 0),
+        lambda: oracle_s_overlap(empty, empty, 0.5),
+        lambda: oracle_fidelity(empty, empty),
+    ):
+        with pytest.raises(DomainError, match=r"^state must not be empty, got shape \(0, 0\)$"):
             call()
 
 

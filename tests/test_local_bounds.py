@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -26,13 +28,15 @@ from gaussdisc import (
 )
 from gaussdisc.global_bounds import S_INTERVAL, fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
+    _COARSE_ORDERS,
+    _NEWTON_TOL,
     _RADIAL_RULE,
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
-    SEARCH_POINTS,
-    SEARCH_STEPS,
     _averaged_fidelity,
     _fidelity_integrand,
+    _heterodyne_sides,
+    _log_heterodyne,
     _overlap_at,
     _overlap_state,
     _passes,
@@ -545,10 +549,9 @@ def test_bad_correlation_is_a_domain_error(call):
         call()
 
 
-# The generic route of the local Chernoff search: every step evaluates the
-# heterodyne overlap of the whole (mu, s) grid, each weight side formed from
-# scratch.  The search runs both sides as one stacked kernel with the mu-only
-# terms formed once, and must give exactly these bits.
+# The generic route of the heterodyne overlap: each weight side formed from
+# scratch.  The stacked kernel forms the mu-only terms once and must give
+# exactly these bits.
 EDGE_MUS = [1.0, 1.0 + 1e-12, 1.000001, 2.0, 1e6, 1e12, 1e100, 1e300]
 
 
@@ -566,38 +569,80 @@ def _heterodyne_reference(mu, s):
     return 2.0 * g_mu * g_nu / (lam_mu + lam_nu + (mu - 1.0) * eps / 2.0)
 
 
-def _search_reference(mu):
-    index = np.arange(mu.shape[0])
-    lo, hi = np.full_like(mu, S_INTERVAL[0]), np.full_like(mu, S_INTERVAL[1])
-    s_star, q_min = lo, np.full_like(mu, np.inf)
-    for _ in range(SEARCH_STEPS):
-        s = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, SEARCH_POINTS)
-        s[:, -1] = hi
-        q = _heterodyne_reference(mu[:, None], s)
-        best = np.argmin(q, axis=1)
-        q_best = q[index, best]
-        better = q_best < q_min
-        s_star = np.where(better, s[index, best], s_star)
-        q_min = np.where(better, q_best, q_min)
-        lo = s[index, np.maximum(best - 1, 0)]
-        hi = s[index, np.minimum(best + 1, SEARCH_POINTS - 1)]
-    return s_star, q_min
-
-
 def _hexes(values):
     return [x.hex() for x in np.asarray(values, float).ravel().tolist()]
 
 
-def test_search_is_bit_identical_to_the_generic_route():
-    rng = np.random.default_rng(31)
-    grids = [np.array(EDGE_MUS), *(np.array([mu]) for mu in EDGE_MUS)]
-    for size in (1, 2, 3, 20, 110, 200):
-        grids.append(1.0 + 10.0 ** rng.uniform(-12.0, 15.0, size))
-        grids.append(10.0 ** rng.uniform(0.0, 3.0, size))
-    grids.append(rng.permutation(np.concatenate([EDGE_MUS, 1.0 + rng.exponential(5.0, 40)])))
-    for mu in grids:
-        got, expected = chernoff_overlap_local(mu), _search_reference(mu)
-        assert [_hexes(x) for x in got] == [_hexes(x) for x in expected]
+_REFERENCE_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    # the benchmark's mpmath transcriptions, loaded from their file
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("bench_reference", _REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_local_exponent_matches_the_mpmath_reference(reference):
+    # kappa_loc and p_plus_local are -ln q and q / 2 of the search; the reference
+    # minimizes by golden section, with as many more digits as mu has, since
+    # (x+1)^s - (x-1)^s cancels
+    mp = reference.mp
+    mus = [mu for mu in EDGE_MUS if mu >= 1.001] + (1.0 + np.logspace(-3.0, 15.0, 19)).tolist()
+    for mu in mus:
+        with mp.workdps(40 + int(math.log10(mu))):
+            q = reference._minimum(lambda s: reference.overlap_heterodyne(mp.mpf(mu), s))
+            kappa, p_plus = float(-mp.log(q)), float(q / 2)
+        result = p_upper_local(mu)
+        assert -math.log(result.q_value) == pytest.approx(kappa, rel=1e-9, abs=0.0), mu
+        assert result.p_upper == pytest.approx(p_plus, rel=1e-12, abs=0.0), mu
+
+
+def test_log_overlap_kernel_matches_mpmath(reference):
+    mp = reference.mp
+    for mu, s in [(1.001, 0.3), (2.0, 0.53), (81.3, 0.9), (1e6, 0.999), (1e12, 0.2)]:
+        got = _log_heterodyne(np.array([s]), _heterodyne_sides(np.array([mu])))
+        with mp.workdps(60):
+            log_q = lambda t: mp.log(reference.overlap_heterodyne(mp.mpf(mu), t))
+            expected = [log_q(s), mp.diff(log_q, s), mp.diff(log_q, s, 2)]
+        assert float(got[0][0]) == pytest.approx(float(expected[0]), rel=1e-13, abs=1e-16)
+        for value, exact in zip(got[1:], expected[1:]):
+            assert float(value[0]) == pytest.approx(float(exact), rel=1e-9, abs=1e-12), (mu, s)
+
+
+def test_search_certifies_its_minimum():
+    # away from mu = 1, where the slope is rounding noise, every row stops on
+    # the slope test, or at a clip whose slope points out of the interval
+    mus = np.concatenate([[2.0, 1e6, 1e12, 1e100, 1e300], np.logspace(math.log10(1.001), 300, 400)])
+    s_star, _ = chernoff_overlap_local(mus)
+    _, slope, curve = _log_heterodyne(s_star, _heterodyne_sides(mus))
+    inside = np.abs(slope) <= _NEWTON_TOL * curve
+    low, high = s_star == S_INTERVAL[0], s_star == S_INTERVAL[1]
+    clipped = (low & (slope >= 0.0)) | (high & (slope <= 0.0))
+    assert (inside | clipped).all()
+
+
+def test_local_overlap_never_exceeds_one():
+    # near mu = 1 the overlap is 1 less a tiny amount, which must not round above 1
+    mus = np.concatenate([EDGE_MUS, 1.0 + np.logspace(-16.0, 12.0, 3000)])
+    q = chernoff_overlap_local(mus)[1]
+    assert (q <= 1.0).all()
+    assert (q[mus == 1.0] == 1.0).all()
+
+
+def test_search_that_does_not_converge_names_its_mu(monkeypatch, capsys):
+    import gaussdisc.local_bounds as lb
+    from gaussdisc.cli import main
+
+    monkeypatch.setattr(lb, "_NEWTON_CAP", 1)
+    with pytest.raises(NumericalError, match=r"^kappa_loc search did not converge at mu=2\.0$"):
+        p_upper_local(2.0)
+    assert main(["point", "--mu", "2"]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mu=2.0" in err
 
 
 def test_scalar_heterodyne_overlap_is_bit_identical_to_the_generic_route():
@@ -660,10 +705,10 @@ def test_row_passes_keep_every_work_array_below_the_mmap_threshold(monkeypatch):
     mus = 1.0 + np.logspace(-6.0, 3.0, 2000)
     chernoff_overlap_local(mus)
     lower_bound_local(mus)
-    # one row of each grid kernel's largest work array: the search's stacked
+    # one row of each grid kernel's largest work array: the search's coarse
     # orders and the radial rule's panel terms
     assert {(size, row_bytes) for size, row_bytes, _ in calls} == {
-        (2000, 2 * SEARCH_POINTS * 8),
+        (2000, _COARSE_ORDERS.nbytes),
         (2000, _RADIAL_RULE[0].nbytes),
     }
     for size, row_bytes, slices in calls:

@@ -116,6 +116,14 @@ def test_cli_point_mu_one_has_null_ratio():
     assert payload["p_plus_global"] == 0.5
 
 
+def test_cli_point_with_infinite_ratio_emits_null():
+    proc = run_cli("point", "--mu", "1.000000003")
+    assert proc.returncode == 0
+    # strict JSON: neither NaN nor Infinity
+    payload = json.loads(proc.stdout, parse_constant=pytest.fail)
+    assert payload["kappa_loc"] == 0.0 and payload["ratio_db"] is None
+
+
 # valid thermal variances from just above 1 to the top of the float range
 VALID_MUS = [1 + 1e-12, 1 + 1e-9, 1.000001, 1.001, 2.0, 1e12, 1e15]
 VALID_MUS += [1e153, 1e250, 1e302, 1e305, 5e307, 6e307, 1e308, 1.7e308]
