@@ -1,9 +1,9 @@
 """Brute-force validation of the closed forms in a truncated Fock basis.
 
 The uncorrelated state is a diagonal thermal product; the correlated one is
-assembled as a Gauss-Hermite mixture of identical coherent pairs (separable
-by construction).  Direct matrix algebra then reproduces the closed-form
-overlaps and fidelities to many digits.
+the mixture of identical coherent pairs (separable by construction), built
+from its exact number-basis elements.  Direct matrix algebra then reproduces
+the closed-form overlaps and fidelities to many digits.
 """
 
 import math

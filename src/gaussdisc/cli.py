@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--mu", type=float, nargs="+", default=[1.5, 2.0])
     oracle.add_argument("--s", type=float, nargs="+", default=[0.3, 0.5, 0.7])
     oracle.add_argument("--cutoff", type=int, default=20)
-    oracle.add_argument("--nodes", type=int, default=16)
+    oracle.add_argument("--nodes", type=int, default=16, help="accepted, no effect")
     oracle.set_defaults(func=cmd_oracle_check)
 
     return parser

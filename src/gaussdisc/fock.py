@@ -7,21 +7,17 @@ every builder raises :class:`ConvergenceError` when the loss exceeds the
 configured tolerance (a displacement is formed on twice the cutoff and cut
 back, so it loses trace too).
 
-The correlated encoded state is realized as a Gauss-Hermite discretized
-mixture of identical coherent pairs, which certifies its separability by
-construction; with the displacement variance chosen below its covariance
-matrix is the symmetric normal form with correlations at the separable edge.
-
-Both modes of a pair carry the same ``alpha``, so ``rho = V M V^T`` exactly
-(:func:`_sector_form`), with ``M`` of order ``2 cutoff - 1``, block diagonal in
-``(n1 + n2) mod 4`` and built from one node per orbit of the grid under
-``alpha -> i alpha`` and ``alpha -> alpha^*``.  The four blocks are one
-zero-padded ``(4, m, m)`` stack, ``m = ceil((2 cutoff - 1) / 4)``, built by one
-batched product and cached per point, so the overlaps and the dense state of
-one ``(mu, config)`` share it: the overlaps take their spectrum from one
-stacked real ``eigh`` instead of a dense eigendecomposition, and the moments
-are weighted sums along the few bands of ``rho`` that ladder products fill,
-with weights built once per shape.
+The correlated encoded state is the mixture of identical coherent pairs
+``|alpha, alpha>`` with a Gaussian ``alpha``, separable by construction; with
+the displacement variance chosen below its covariance matrix is the symmetric
+normal form with correlations at the separable edge.  A balanced beam
+splitter maps it to a thermal state in the sum mode and vacuum in the
+difference mode, so it is block diagonal in the total photon number ``N``,
+one rank-1 block per sector with an exact weight: ``rho = V M V^T`` with ``M``
+diagonal of order ``2 cutoff - 1`` (:func:`_sector_form`).  The thermal pair
+is constant on each sector, so the overlaps are one sum over the sectors with
+no eigensolve, and the moments are weighted sums along the few bands of
+``rho`` that ladder products fill, with weights built once per shape.
 
 The generic one-mode oracles work on the support of a state
 (:func:`_support`): its eigenvalues above ``EIG_CLAMP``, largest first, and
@@ -55,7 +51,11 @@ DOUBLING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation and discretization parameters for the oracle."""
+    """Truncation parameters for the oracle.
+
+    ``modulation_nodes`` is accepted and validated, and has no effect: the
+    correlated state is built from its exact matrix elements.
+    """
 
     cutoff: int
     modulation_nodes: int = 16
@@ -139,62 +139,29 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=16)
-def _orbit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """One node ``t_i + i t_j`` per orbit of the square Gauss-Hermite grid under
-    ``alpha -> i alpha`` and ``alpha -> alpha^*`` (``t_i <= t_j <= 0``), and the
-    orbit's weight: its size (8, or 4 on the diagonals and the axes, 1 at the
-    origin) times ``w_i w_j``.  The weights sum to 1; read-only.  numpy's rule is
-    exactly symmetric (``t = -t[::-1]``, ``w = w[::-1]``), so every orbit lies on
-    the grid with equal weights."""
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / w.sum()
-    half = np.flatnonzero(t <= 0.0)
-    i, j = half[np.array(np.triu_indices(len(half)))]
-    x, y = t[i], t[j]
-    # a sign for each nonzero coordinate, and a swap unless they are equal
-    size = (2 - (x == 0.0)) * (2 - (y == 0.0)) * (2 - (x == y))
-    return _read_only(x + 1j * y), _read_only(size * w[i] * w[j])
-
-
-@functools.lru_cache(maxsize=8)
 def _sector_form(mu: float, config: FockConfig) -> np.ndarray:
-    """The four blocks ``M[k::4, k::4]`` of ``M`` with ``rho = V M V^T``, stacked
-    (:func:`_by_residue`), at the checked ``mu``; cached, so that the overlaps and
-    :func:`build_correlated` of one point build it once.  Read-only.
+    """The diagonal ``M_NN`` of ``rho = V M V^T`` for ``N < 2 cutoff - 1``, at the
+    checked ``mu``.
 
-    The pair ``|alpha, alpha>`` has amplitude ``e^(-|alpha|^2) alpha^N /
-    sqrt(n1! n2!)``, so in the box it is ``sqrt(share[N]) <N|sqrt(2) alpha>``
-    times ``v_N = sqrt(binom / share[N])``, with ``binom`` Binomial(N, 1/2) at
-    ``n1`` and ``share[N]`` its mass in the box.  So ``M = (B B^H).real`` with
-    ``B[N, j] = sqrt(share[N] w_j) <N|sqrt(2) alpha_j>``.  Nodes related by
-    ``alpha -> i alpha`` differ by ``i**N``, so only ``M[k::4, k::4]`` is nonzero,
-    and there, where ``N = N' (mod 4)``, both nodes add the same; a conjugate
-    node adds the same to the real ``M``.  So ``B`` holds one column per orbit
-    of the grid (:func:`_orbit_rule`), weighted by the orbit's size.  A padded
-    row of ``B`` is zero, and so are its row and column of the blocks.
+    A balanced beam splitter maps each pair ``|alpha, alpha>`` to
+    ``|sqrt(2) alpha, 0>``, so the mixture becomes thermal with mean ``2 n =
+    mu - 1`` in the sum mode, ``n = (mu - 1) / 2`` per mode, and vacuum in the
+    difference mode.  Sector ``N`` holds the thermal weight ``(2 n)^N /
+    (2 n + 1)^(N + 1)`` on one unit vector, whose entry at ``(n1, n2)`` is
+    ``sqrt(binom)`` with ``binom`` Binomial(N, 1/2) at ``n1``; the box keeps
+    ``share[N]`` of its norm (:func:`_sector_weights`), so ``M_NN = share[N]
+    (2 n)^N / (2 n + 1)^(N + 1)``.
     """
     _, share, _ = _sector_weights(config.cutoff)
-    grid, weight = _orbit_rule(config.modulation_nodes)
-    factor = coherent_state(math.sqrt((mu - 1.0) / 2.0) * grid, 2 * config.cutoff - 1)
-    factor *= np.sqrt(np.outer(share, weight))
-    _check_trace(float(np.vdot(factor, factor).real), "correlated state", config)
-    factor = _by_residue(np.concatenate([factor.real, factor.imag], axis=1))
-    return _read_only(factor @ factor.transpose(0, 2, 1))
-
-
-def _by_residue(rows: np.ndarray) -> np.ndarray:
-    """``rows``, indexed by the sector ``N``, as a ``(4, m) + rows.shape[1:]`` stack
-    with ``[k, i] = rows[4 i + k]``: zero-padded to ``4 m`` rows, ``m = ceil(len / 4)``."""
-    m = -(-len(rows) // 4)
-    padded = np.zeros((4 * m,) + rows.shape[1:])
-    padded[: len(rows)] = rows
-    return padded.reshape((m, 4) + rows.shape[1:]).swapaxes(0, 1)
+    # at mu = 1 this is exactly the vacuum pair: 0.0 ** 0 == 1.0
+    weights = share * ((mu - 1.0) / mu) ** np.arange(len(share)) / mu
+    _check_trace(float(weights.sum()), "correlated state", config)
+    return weights
 
 
 @functools.lru_cache(maxsize=8)
 def _sector_weights(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`_sector_form` and :func:`build_correlated` need of the box, per
+    """What :func:`_sector_form` and :func:`_sector_pairs` need of the box, per
     cutoff; read-only: each box state's sector ``N``, the box mass ``share[N]`` of
     Binomial(N, 1/2) (1 below the cutoff) and each box state's entry
     ``v_N(n1) = sqrt(binom / share[N])``."""
@@ -208,27 +175,41 @@ def _sector_weights(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(sector), _read_only(share), _read_only(embed)
 
 
+@functools.lru_cache(maxsize=8)
+def _sector_pairs(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair ``(x, y)`` of box states in one sector ``N`` (:func:`_sector_weights`),
+    per cutoff; read-only: its flat index ``x cutoff**2 + y`` in the dense state,
+    ``N`` and ``v_N(x) v_N(y)``.  The search is quadratic in the box, as the dense
+    state is, so only :func:`build_correlated` pays for it."""
+    sector, _, embed = _sector_weights(cutoff)
+    rows, cols = np.nonzero(sector[:, None] == sector)
+    return (
+        _read_only(rows * cutoff**2 + cols),
+        _read_only(sector[rows]),
+        _read_only(embed[rows] * embed[cols]),
+    )
+
+
 def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
-    """Maximally correlated separable state as a coherent-pair mixture.
+    """Maximally correlated separable state, a mixture of coherent pairs.
 
     Both modes receive the same random displacement; each quadrature mean is
     modulated with variance ``mu - 1``, i.e. the real and imaginary parts of
     the coherent amplitude (with ``x = a + a^dag``, so the mean of x is
     ``2 Re alpha``) carry variance ``(mu - 1) / 4`` each.  The resulting
     covariance matrix is the symmetric normal form with correlations
-    ``mu - 1`` on both quadratures.
+    ``mu - 1`` on both quadratures.  Its number-basis elements are exact: it
+    is block diagonal in the total photon number ``N``, one rank-1 block per
+    sector (:func:`_sector_form`), and the truncated state is a fresh dense
+    ``cutoff**2``-square array, zero between sectors.
     """
-    blocks = _sector_form(check_mu(mu), config)
-    sector, _, embed = _sector_weights(config.cutoff)
-    m = blocks.shape[1]
-    # M[4 i + k, 4 j + k] = blocks[k, i, j], zero-padded like the blocks
-    sectors = np.zeros((m, 4, m, 4))
-    sectors[:, range(4), :, range(4)] = blocks
-    sectors = sectors.reshape(4 * m, 4 * m)
-    # rho[x, y] = v(x) M[N(x), N(y)] v(y), with one dense temporary
-    rho = (sectors[sector] * embed[:, None])[:, sector]
-    rho *= embed
-    return rho
+    weights = _sector_form(check_mu(mu), config)
+    pairs, sector, embed = _sector_pairs(config.cutoff)
+    dim = config.cutoff**2
+    rho = np.zeros(dim * dim)
+    # rho[x, y] = v(x) M_NN v(y) where x and y both lie in sector N
+    rho[pairs] = embed * weights[sector]
+    return rho.reshape(dim, dim)
 
 
 def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
@@ -277,12 +258,6 @@ def _clamped(eigvals: np.ndarray) -> np.ndarray:
     return np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
 
 
-def _checked_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of ``rho`` (or of a stack), its eigenvalues :func:`_clamped`."""
-    eigvals, eigvecs = checked_eigh(rho)
-    return _clamped(eigvals), eigvecs
-
-
 def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The support of the state ``rho``: its nonzero :func:`_clamped` eigenvalues
     ``lam``, largest first, and a basis ``V`` of the matching eigenvectors.
@@ -302,7 +277,8 @@ def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam = _clamped(diagonal.real)
         keep = np.argsort(-lam, kind="stable")[: np.count_nonzero(lam)]
         return lam[keep], keep
-    lam, vecs = _checked_spectrum(rho)
+    eigvals, vecs = checked_eigh(rho)
+    lam = _clamped(eigvals)
     keep = np.flatnonzero(lam)[::-1]
     return lam[keep], vecs[:, keep]
 
@@ -392,24 +368,19 @@ def oracle_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 def s_overlap_curve(mu: float, s_values, config: FockConfig) -> dict[float, float]:
     """Oracle overlaps of the encoded pair for several orders at one cutoff.
 
-    With ``rho = V M V^T`` (:func:`_sector_form`) and the uncorrelated state
-    ``D_N`` on each sector, ``Tr(D^s rho^(1-s)) = sum_N D_N^s [M^(1-s)]_NN``:
-    one stacked real ``eigh`` of the four blocks of ``M``, about ``cutoff / 2``
-    rows each, serves every order, and all orders are one array expression.  A
-    padded row has ``D_N = 0`` and a decoupled zero eigenvalue, so it adds
-    nothing.  The blocks are cached per ``(mu, config)``, so
-    :func:`build_correlated` at the same point reuses them.
+    With ``rho = V M V^T`` and ``M`` diagonal (:func:`_sector_form`), and the
+    uncorrelated state ``D_N`` on each sector, ``Tr(D^s rho^(1-s)) = sum_N
+    D_N^s M_NN^(1-s)`` over the :func:`_clamped` weights: no eigensolve, and all
+    orders are one array expression.
     """
     orders = [float(check_order(s)) for s in s_values]
     mu = check_mu(mu)
     single = _thermal_diagonal((mu - 1.0) / 2.0, config)
     # D_N at the box state (0, N) for N < cutoff, then at (cutoff - 1, N - cutoff + 1)
-    thermal = _by_residue(np.concatenate([single[0] * single, single[-1] * single[1:]]))
-    lam, vecs = _checked_spectrum(_sector_form(mu, config))
-    s = np.array(orders)[:, None, None]
-    # per order and block: D^s [M^(1-s)]_NN summed over the block's rows N
-    terms = (thermal**s)[..., None, :] @ (vecs**2 @ (lam ** (1.0 - s))[..., None])
-    return dict(zip(orders, terms.sum(axis=(1, 2, 3)).tolist()))
+    thermal = np.concatenate([single[0] * single, single[-1] * single[1:]])
+    weights = _clamped(_sector_form(mu, config))
+    s = np.array(orders)[:, None]
+    return dict(zip(orders, (thermal**s * weights ** (1.0 - s)).sum(axis=1).tolist()))
 
 
 def s_overlap_converged(mu: float, s_values, config: FockConfig) -> dict[float, float]:

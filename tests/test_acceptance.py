@@ -37,7 +37,7 @@ def test_criterion_1_global_oracle_equivalence():
         oracle = gd.s_overlap_converged(mu, orders, config)
         for s in orders:
             worst = max(worst, abs(oracle[s] - gd.s_overlap_global(mu, s)))
-    # tie the shared-decomposition curve to the generic operator route once
+    # tie the sector-sum curve to the generic operator route once
     # (they differ only through the sub-clamp thermal tail, ~1e-10)
     rho0 = gd.build_thermal_product(2.0, config)
     rho1 = gd.build_correlated(2.0, config)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -82,7 +83,8 @@ def test_correlated_state_moments_match_target():
     mu = 1.5
     rho = build_correlated(mu, FockConfig(20, 16))
     mean, cm = quadrature_moments(rho, n_modes=2)
-    np.testing.assert_allclose(mean, np.zeros(4), atol=1e-10)
+    # block diagonal in the total photon number, which a ladder step changes
+    assert np.array_equal(mean, np.zeros(4))
     np.testing.assert_allclose(cm, make_state_one(mu).matrix(), atol=1e-4)
 
 
@@ -109,8 +111,23 @@ def test_thermal_product_equals_kronecker_form(cutoff):
     assert np.array_equal(build_thermal_product(1.8, config), np.kron(single, single))
 
 
+def _written_out_elements(mu, cutoff):
+    # <m, n| rho |m', n'> = delta(K, K') K! nbar^K / ((2 nbar + 1)^(K + 1)
+    # sqrt(m! n! m'! n'!)), K = m + n: the Gaussian mixture's integral, one element at a time
+    nbar, f = (mu - 1.0) / 2.0, math.factorial
+    rho = np.zeros((cutoff**2, cutoff**2))
+    for m, n, m2 in itertools.product(range(cutoff), repeat=3):
+        k = m + n
+        if 0 <= k - m2 < cutoff:
+            rho[m * cutoff + n, m2 * cutoff + k - m2] = (
+                f(k) * nbar**k / ((2.0 * nbar + 1.0) ** (k + 1) * math.sqrt(f(m) * f(n) * f(m2) * f(k - m2)))
+            )
+    return rho
+
+
 def _written_out_mixture(mu, config):
-    # the definition: every node pair's weighted coherent pair, one at a time
+    # the Gauss-Hermite discretization of the mixture: every node pair's
+    # weighted coherent pair, one at a time
     cutoff, nodes = config.cutoff, config.modulation_nodes
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
@@ -131,9 +148,31 @@ def _written_out_mixture(mu, config):
     + [pytest.param(9, 13, id="9-cutoff13")],
 )
 def test_correlated_state_matches_written_out_mixture(nodes, cutoff):
-    config = FockConfig(cutoff, nodes)
-    rho = build_correlated(1.9, config)
-    assert np.abs(rho - _written_out_mixture(1.9, config)).max() < 1e-14
+    # the node count is accepted and has no effect
+    rho = build_correlated(1.9, FockConfig(cutoff, nodes))
+    assert np.abs(rho - _written_out_elements(1.9, cutoff)).max() < 1e-14
+
+
+def test_node_mixture_converges_to_the_exact_state():
+    # the separable coherent-pair construction, discretized, tends to the exact state
+    gaps = []
+    for nodes in (8, 16, 32):
+        config = FockConfig(14, nodes)
+        gaps.append(np.abs(_written_out_mixture(1.9, config) - build_correlated(1.9, config)).max())
+    assert gaps[0] > gaps[1] > gaps[2]
+    config = FockConfig(14, 16)
+    assert np.abs(_written_out_mixture(1.5, config) - build_correlated(1.5, config)).max() < 1e-8
+
+
+@pytest.mark.parametrize("mu", [1.5, 2.0])
+@pytest.mark.parametrize("cutoff", [30, 40])
+def test_relative_entropy_of_the_fock_pair_is_the_mutual_information(mu, cutoff):
+    # D(rho || D) = sum_N M_NN ln(M_NN / D_N), with D_N = (1 - q)^2 q^N the thermal pair
+    weights = fock._sector_form(mu, FockConfig(cutoff))
+    q = (mu - 1.0) / (mu + 1.0)
+    thermal = (1.0 - q) ** 2 * q ** np.arange(len(weights))
+    bits = np.sum(weights * np.log(weights / thermal)) / math.log(2.0)
+    assert abs(bits - (gd.delta_c(mu) + gd.delta_d(mu))) < 1e-12
 
 
 def test_oracle_overlap_identical_states():
@@ -159,7 +198,8 @@ def test_oracle_overlap_rejects_bad_order():
 def test_oracle_matches_closed_form_quickly():
     config = FockConfig(16, 12)
     curve = s_overlap_curve(2.0, [0.5], config)
-    assert abs(curve[0.5] - s_overlap_global(2.0, 0.5)) < 1e-3
+    # what is left is the cutoff's: the box cuts the sectors N >= 16
+    assert abs(curve[0.5] - s_overlap_global(2.0, 0.5)) < 1e-9
 
 
 def test_curve_agrees_with_generic_operator_route():
@@ -182,7 +222,7 @@ def test_oracle_error_shrinks_with_cutoff():
 
 def test_doubling_protocol_accepts_converged_setup():
     values = s_overlap_converged(1.5, [0.5], FockConfig(12, 12))
-    assert abs(values[0.5] - s_overlap_global(1.5, 0.5)) < 1e-4
+    assert abs(values[0.5] - s_overlap_global(1.5, 0.5)) < 1e-10
 
 
 def test_doubling_protocol_rejects_coarse_cutoff():
@@ -317,10 +357,9 @@ def test_partial_trace_validation():
 
 
 def _dense_s_overlap_curve(mu, s_values, config):
-    # dense eigendecomposition of the full cutoff**2 x cutoff**2 state, which
-    # is real because conjugate node pairs carry equal weight
+    # dense eigendecomposition of the full cutoff**2 x cutoff**2 state
     thermal_diag = np.diag(build_thermal_product(mu, config))
-    eigvals, eigvecs = np.linalg.eigh(_written_out_mixture(mu, config).real)
+    eigvals, eigvecs = np.linalg.eigh(build_correlated(mu, config))
     eigvals = np.where(eigvals < EIG_CLAMP, 0.0, eigvals)
     return {s: thermal_diag**s @ (eigvecs**2 @ eigvals ** (1.0 - s)) for s in s_values}
 
@@ -332,7 +371,7 @@ def _dense_s_overlap_curve(mu, s_values, config):
     # a box that cuts off a visible share of the sectors N >= cutoff, and the vacuum pair
     + [pytest.param(2.45, FockConfig(13, 9, convergence_tol=1e-2), id="2.45-cutoff13")]
     + [pytest.param(1.0, FockConfig(20, 16), id="1.0")]
-    # odd node counts, whose axes and origin are orbits of size 4 and 1
+    # odd node counts, accepted with no effect
     + [pytest.param(1.9, FockConfig(14, nodes), id=f"1.9-nodes{nodes}") for nodes in (9, 17)],
 )
 def test_low_rank_curve_matches_dense_spectrum(mu, config):
@@ -343,10 +382,10 @@ def test_low_rank_curve_matches_dense_spectrum(mu, config):
 
 
 def test_curve_checks_every_order_before_linear_algebra(monkeypatch):
-    def unreachable(rho):
-        raise AssertionError("eigendecomposition before the order check")
+    def unreachable(mu, config):
+        raise AssertionError("sector weights before the order check")
 
-    monkeypatch.setattr(fock, "_checked_spectrum", unreachable)
+    monkeypatch.setattr(fock, "_sector_form", unreachable)
     with pytest.raises(DomainError):
         s_overlap_curve(1.5, [0.5, 1.0], FockConfig(12, 8))
 
@@ -494,20 +533,12 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     curve = s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16))
     rho = build_correlated(1.6, FockConfig(10, 9))
     moments = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
-    rules = [*fock._orbit_rule(16), *fock._orbit_rule(9)]
-    rules += [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
-    rules += [*fock._sector_weights(12), *fock._sector_weights(10)]
-    rules += [fock._sector_form(1.8, FockConfig(12, 16)), fock._sector_form(1.6, FockConfig(10, 9))]
+    rules = [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
+    rules += [*fock._sector_weights(12), *fock._sector_weights(10), *fock._sector_pairs(10)]
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    caches = (
-        fock._orbit_rule,
-        fock._position_spectrum,
-        fock._ladder_weights,
-        fock._sector_weights,
-        fock._sector_form,
-    )
+    caches = (fock._position_spectrum, fock._ladder_weights, fock._sector_weights, fock._sector_pairs)
     for cache in caches:
         cache.cache_clear()
     assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)
@@ -515,36 +546,8 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     assert hexes(build_correlated(1.6, FockConfig(10, 9))) == hexes(rho)
     again = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
     assert [hexes(x) for x in again] == [hexes(x) for x in moments]
-    # the state at a point whose overlaps were just taken, from the cached blocks, against a cold one
-    config = FockConfig(20, 16)
-    s_overlap_converged(1.7, [0.3, 0.7], config)
-    warm = build_correlated(1.7, config)
-    fock._sector_form.cache_clear()
-    assert hexes(warm) == hexes(build_correlated(1.7, config))
-    assert warm.flags.writeable
-
-
-@pytest.mark.parametrize("nodes", [8, 9, 16, 17])
-def test_orbit_rule_folds_the_grid_once(nodes):
-    # fold each grid node by hand onto -max(|x|, |y|) - i min(|x|, |y|) of its orbit
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / w.sum()
-    folded = {}
-    for i in range(nodes):
-        for j in range(nodes):
-            low, high = sorted((abs(t[i]), abs(t[j])))
-            size, weight = folded.get((-high, -low), (0, 0.0))
-            folded[(-high, -low)] = (size + 1, weight + w[i] * w[j])
-    grid, weight = fock._orbit_rule(nodes)
-    reps = list(zip(grid.real.tolist(), grid.imag.tolist()))
-    assert sorted(reps) == sorted(folded)
-    # the size each orbit's weight carries, against the count of its nodes
-    sizes = np.rint(weight / (w[np.searchsorted(t, grid.real)] * w[np.searchsorted(t, grid.imag)]))
-    assert sizes.tolist() == [folded[rep][0] for rep in reps]
-    assert sizes.sum() == nodes**2
-    assert set(sizes.tolist()) == ({1, 4, 8} if nodes % 2 else {4, 8})
-    assert np.allclose(weight, [folded[rep][1] for rep in reps], rtol=1e-13, atol=0.0)
-    assert abs(weight.sum() - 1.0) < 1e-14
+    # a fresh state each call, though its pairs are cached
+    assert rho.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -633,7 +636,8 @@ print(sorted(m for m in sys.modules if "scipy" in m))
 
 
 def test_oracle_point_beyond_cli_scope():
-    # doubled to cutoff 80, a 6400-dimensional two-mode space
-    values = s_overlap_converged(4.0, [0.3, 0.5, 0.7], FockConfig(40, 16))
-    for s, value in values.items():
-        assert abs(value - s_overlap_global(4.0, s)) < 1e-3
+    # doubled to cutoff 80 and 160, two-mode spaces of 6400 and 25600 dimensions
+    for mu, config in ((4.0, FockConfig(40, 16)), (10.0, FockConfig(80))):
+        values = s_overlap_converged(mu, (0.3, 0.5, 0.7), config)
+        for s, value in values.items():
+            assert abs(value - s_overlap_global(mu, s)) < 1e-12
