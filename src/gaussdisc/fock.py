@@ -215,34 +215,82 @@ def build_correlated(mu: float, config: FockConfig) -> np.ndarray:
 def displaced_thermal(n_bar: float, mean, cutoff: int) -> np.ndarray:
     """Thermal state displaced to the given quadrature mean ``(x, p)``.
 
-    The displacement is ``exp(-iH)`` with ``H = i (alpha a^dag - alpha^* a)
-    = Q (|alpha| (a + a^dag)) Q^H`` for the diagonal unitary
-    ``Q = diag((i e^(i arg alpha))**n)``, so it comes from the spectrum of the
-    real ``a + a^dag`` on twice the cutoff, cut back: a state that spills past
-    the cutoff then shows as lost trace instead of wrapping around.  ``Q``
-    commutes with the diagonal thermal state, so it only phases the result.
-    The eigenvectors are real, so the cut-back ``exp(-i |alpha| (a + a^dag))``
-    is formed as two real products, of its cosine and of its sine.
+    With ``alpha = (x + i p) / 2 = |alpha| e^(i theta)`` the displacement is
+    ``D(alpha) = R(theta) D(|alpha|) R(theta)^dag``, where ``R(theta) = e^(i theta n)``
+    is diagonal and commutes with the thermal state.  So the state is
+    ``rho[m, n] = e^(i (m - n) theta) rho_x[m, n]``, with ``rho_x`` the real
+    symmetric state displaced by ``|alpha|`` along x (:func:`_displaced_along_x`):
+    exactly Hermitian, and real for a mean on the x axis.  The displacement is formed
+    on twice the cutoff and cut back, so a state that spills past the cutoff shows as
+    lost trace instead of wrapping around.
     """
     config = FockConfig(cutoff)
     mean = check_displacement(mean, "quadrature mean")
-    alpha = (mean[0] + 1j * mean[1]) / 2.0
-    thermal = _thermal_diagonal(n_bar, config)
-    positions, kept = _position_spectrum(config.cutoff)
-    phase = abs(alpha) * positions
-    op = (kept * np.cos(phase)) @ kept.T - 1j * ((kept * np.sin(phase)) @ kept.T)
-    phases = np.exp(1j * (np.angle(alpha) + np.pi / 2.0) * np.arange(cutoff))
-    rho = np.outer(phases, phases.conj()) * ((op * thermal) @ op.conj().T)
-    _check_trace(float(np.trace(rho).real), "displaced thermal state", config)
+    alpha = complex(mean[0], mean[1]) / 2.0
+    along_x = _displaced_along_x(abs(alpha), _thermal_diagonal(n_bar, config))
+    _check_trace(float(np.trace(along_x)), "displaced thermal state", config)
+    # e^(i k theta) for k = m - n as powers of e^(i theta), exact on both axes; the
+    # negative lags are conjugates, so rho is exactly Hermitian
+    turns = np.full(cutoff, alpha / abs(alpha) if alpha else 1.0 + 0.0j)
+    turns[0] = 1.0
+    turns = np.cumprod(turns)
+    rho = np.concatenate([turns, turns[:0:-1].conj()])[_displacement_factors(cutoff)[-1]]
+    rho *= along_x
     return rho
 
 
+def _displaced_along_x(r: float, thermal: np.ndarray) -> np.ndarray:
+    """``D(r) diag(thermal) D(r)^T`` for the real displacement ``D(r) = exp(r (a^dag - a))``,
+    ``r >= 0``, cut back to the length of ``thermal`` from twice it.
+
+    From the blocks of :func:`_displacement_factors`, ``B = D(r) diag(sqrt(thermal))``
+    is two real products, its even columns then its odd ones, and the result is
+    ``B B^T``, which numpy forms as a symmetric rank-k update: exactly symmetric.
+    """
+    positions, rows, pick, even, odd, order, _ = _displacement_factors(len(thermal))
+    phase = r * positions
+    cos, sin = np.cos(phase), np.sin(phase)
+    # row m of the left factors: (cos, -sin) for an even m, (sin, cos) for an odd one
+    left = rows * np.array([cos, sin, -sin])[pick]
+    half = even.shape[1]
+    b = np.empty(rows.shape)
+    np.matmul(left[0], even, out=b[:, :half])
+    np.matmul(left[1], odd, out=b[:, half:])
+    b *= np.sqrt(thermal[order])
+    return b @ b.T
+
+
 @functools.lru_cache(maxsize=8)
-def _position_spectrum(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of ``a + a^dag`` on twice the cutoff, eigenvectors cut back; read-only."""
+def _displacement_factors(cutoff: int) -> tuple[np.ndarray, ...]:
+    """What :func:`_displaced_along_x` and :func:`displaced_thermal` need per cutoff;
+    read-only.
+
+    On twice the cutoff ``a + a^dag = K diag(x) K^T``, and ``a^dag - a = i J^* (a +
+    a^dag) J`` with ``J = diag(i^n)``, so ``D(r)[m, n] = i^(n - m) sum_x e^(i r x)
+    K[m, x] K[n, x]``.  The eigenvalues come in pairs ``+-x`` whose eigenvectors
+    differ by the parity ``(-1)^n``, so the positive half gives the sum: ``2 cos(r
+    x)`` where ``m - n`` is even and ``2 i sin(r x)`` where it is odd.  With the sign
+    ``i^(n - m)`` absorbed into the rows of ``k = sqrt(2) (-1)^floor(m / 2) K``, cut
+    back and over ``x > 0``, and ``E``, ``O`` its even and odd rows, ``D(r)`` is, by
+    the parity of ``(m, n)``, ``[[E c E^T, -E s O^T], [O s E^T, O c O^T]]`` with
+    ``c, s = cos, sin(r x)``.
+
+    Returns the positive ``x``; ``k``; for each row ``m`` the index of its factor in
+    ``(c, s, -s)`` for the even and for the odd columns; ``E^T`` and ``O^T``; the
+    even then the odd number states, the order of those columns; and the index of
+    the lag ``m - n`` modulo ``2 cutoff - 1``.
+    """
     a = destroy(2 * cutoff)
     positions, basis = checked_eigh(a + a.T)
-    return _read_only(positions), _read_only(basis[:cutoff])
+    n = np.arange(cutoff)
+    rows = (math.sqrt(2.0) * np.where(n % 4 < 2, 1.0, -1.0))[:, None] * basis[:cutoff, cutoff:]
+    pick = np.array([n % 2, np.where(n % 2, 0, 2)])
+    order = np.concatenate([n[0::2], n[1::2]])
+    lags = (n[:, None] - n) % (2 * cutoff - 1)
+    factors = (
+        positions[cutoff:], rows, pick, rows[0::2].T.copy(), rows[1::2].T.copy(), order, lags
+    )
+    return tuple(map(_read_only, factors))
 
 
 def _clamped(eigvals: np.ndarray) -> np.ndarray:

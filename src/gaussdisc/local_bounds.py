@@ -9,6 +9,7 @@ uses (closed forms) and verifies numerically (lambda scans).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,32 @@ _NEWTON_TOL, _NEWTON_CAP = 1e-10, 64
 #: memory, 2 CPUs); fixed-size kernels run whole, as glibc keeps a repeated request on the
 #: heap.  Less 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
 _HEAP_REQUEST = 128 * 1024 - 24
+
+
+#: below this ``mu`` no ``s``-free term of a scan overflows: with ``c <= mu``, the largest,
+#: the fidelity's ``(mu^2 - 1)(c_0 c_1 - 1)``, stays below ``mu^4 = 2^1020``
+_OVERFLOW_MU = 2.0**255
+_UNGUARDED = contextlib.nullcontext()
+
+
+def _quiet(mu):
+    """An ``np.errstate`` that ignores floating-point errors from ``_OVERFLOW_MU`` on,
+    where the scans' products may overflow and a check of the result fails it instead;
+    below it, a no-op, so that the scans there run exactly as written."""
+    return np.errstate(all="ignore") if mu >= _OVERFLOW_MU else _UNGUARDED
+
+
+def _guarded(mu, what: str, kernel, *args):
+    """``kernel(*args)``; from ``_OVERFLOW_MU`` on with floating-point errors ignored, and
+    a NumericalError naming ``what`` and ``mu`` unless every entry of the result lies in
+    ``(0, inf)``, as it does without an overflow.  Below, one comparison."""
+    if mu < _OVERFLOW_MU:
+        return kernel(*args)
+    with np.errstate(all="ignore"):
+        values = kernel(*args)
+    if not ((0.0 < values) & (values < np.inf)).all():
+        raise NumericalError(f"{what} overflows at mu={mu!r}")
+    return values
 
 
 def _passes(size: int, row_bytes: int) -> list[slice]:
@@ -169,15 +196,17 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     """
     mu = check_mu(mu)
     g = check_correlation(mu, mu - 1.0 if g is None else g)
+    s = check_order(s)
     seed = np.array([[povm.eta * povm.lam], [povm.eta / povm.lam]])
-    return float(_overlap_at(check_order(s), _overlap_state(mu, g, seed))[0])
+    state = _overlap_state(mu, g, seed)
+    return float(_guarded(mu, "modulated overlap", _overlap_at, s, state)[0])
 
 
 class _OverlapState(NamedTuple):
     """The terms of :func:`s_overlap_local` that do not depend on ``s``, over a batch of
     seeds: the spectra ``c`` and ``m``, each ``(2, n)``, ``nu = sqrt(c_0 c_1)``, and the
     :func:`_weight_logs` of ``mu`` and of ``nu``; ``nu_logs`` is None where a rounded
-    ``nu`` lies below 1."""
+    ``nu`` lies below 1 or overflows."""
 
     mu: float
     c: np.ndarray
@@ -189,18 +218,23 @@ class _OverlapState(NamedTuple):
 
 def _overlap_state(mu, g, seed):
     """:class:`_OverlapState` of the checked ``(mu, g)`` for the seed eigenvalues ``(2, n)``.
-    An exact ``nu`` is at least 1; a rounded one may not be, as when ``g = mu - 1``
-    rounds to ``mu`` above 2^53, and :func:`_overlap_at` then fails."""
-    c, m = _spectra(mu, g, seed)
-    nu = np.sqrt(c[0] * c[1])
-    nu_logs = _weight_logs(nu) if np.greater_equal(nu, 1.0).all() else None
-    return _OverlapState(mu, c, m, nu, _weight_logs(mu), nu_logs)
+    An exact ``nu`` is at least 1 and finite; a rounded one may not be, as when ``g = mu -
+    1`` rounds to ``mu`` above 2^53, or when ``c_0 c_1`` overflows, from about ``mu =
+    1.3e154``, and :func:`_overlap_at` then fails."""
+    with _quiet(mu):
+        c, m = _spectra(mu, g, seed)
+        nu = np.sqrt(c[0] * c[1])
+    in_range = np.greater_equal(nu, 1.0).all() and (mu < _OVERFLOW_MU or np.isfinite(nu).all())
+    return _OverlapState(mu, c, m, nu, _weight_logs(mu), _weight_logs(nu) if in_range else None)
 
 
 def _overlap_at(s, state):
-    """:func:`s_overlap_local` at the checked order ``s`` over the batch of ``state``."""
+    """:func:`s_overlap_local` at the checked order ``s`` over the batch of ``state``;
+    NumericalError where ``state`` has no ``nu_logs``.  Its callers run it through
+    :func:`_guarded`, which fails an overflow that depends on ``s``."""
     if state.nu_logs is None:
-        raise NumericalError(f"conditional spectrum rounds below vacuum at mu={state.mu!r}")
+        fault = "rounds below vacuum" if np.isfinite(state.nu).all() else "overflows"
+        raise NumericalError(f"conditional spectrum {fault} at mu={state.mu!r}")
     g_mu, lam_mu = _weights_at(s, state.mu_logs)
     g_nu, lam_nu = _weights_at(1.0 - s, state.nu_logs)
     d = lam_mu + lam_nu * state.c / state.nu + state.m
@@ -470,11 +504,12 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
     scan shares; each entry is exactly :func:`s_overlap_local` at its ``lambda``.
     Raises :class:`ReportFailure` if an entry lies below the one at lambda = 1,
     and :class:`NumericalError` if ``nu`` rounds below 1, as at the separability
-    edge above ``mu = 2^53``.
+    edge above ``mu = 2^53``, or if the scan overflows (:func:`_guarded`), as it does
+    below the edge from about ``mu = 1.5e153``.
     """
     mu = check_mu(mu)
     g = check_correlation(mu, g)
-    values = _overlap_at(check_order(s), _scan_state(mu, g))
+    values = _guarded(mu, "modulated overlap", _overlap_at, check_order(s), _scan_state(mu, g))
     return _scan(values, mu, g, s, "overlap scan")
 
 
@@ -504,7 +539,9 @@ def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> fl
     mu = check_mu(mu)
     g = check_correlation(mu, mu - 1.0 if g is None else g)
     lam = GaussianPovm(1.0, 0.0, lam).lam
-    return float(_averaged_fidelity(mu, *_spectra(mu, g, np.array([[lam], [1.0 / lam]])))[0])
+    with _quiet(mu):
+        c, m = _spectra(mu, g, np.array([[lam], [1.0 / lam]]))
+    return float(_guarded(mu, "averaged fidelity", _averaged_fidelity, mu, c, m)[0])
 
 
 def _fidelity_integrand(mu, c, m, nodes):
@@ -519,7 +556,9 @@ def _fidelity_integrand(mu, c, m, nodes):
 
 
 def _averaged_fidelity(mu, c, m):
-    """:func:`averaged_fidelity_bound` over eigenvalue pairs ``(2, n)``."""
+    """:func:`averaged_fidelity_bound` over eigenvalue pairs ``(2, n)``.  Its callers run
+    it through :func:`_guarded`: below the separability edge ``(mu^2 - 1)(c_0 c_1 - 1)``
+    overflows from about ``mu = 1.2e77``."""
     terms = _fidelity_integrand(mu, c, m, _HERMITE_NODES)
     terms *= _HERMITE_PAIR_WEIGHTS
     # a sum per row, not matmul: BLAS may round a row differently in other stacks
@@ -537,5 +576,5 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     mu = check_mu(mu)
     gval = check_correlation(mu, mu - 1.0 if g is None else g)
     state = _scan_state(mu, gval)
-    values = _averaged_fidelity(mu, state.c, state.m)
+    values = _guarded(mu, "averaged fidelity", _averaged_fidelity, mu, state.c, state.m)
     return _scan(values, mu, gval, None, "fidelity scan")

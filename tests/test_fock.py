@@ -496,11 +496,28 @@ def test_moments_reject_non_square_states(shape, n_modes):
             call()
 
 
-@pytest.mark.parametrize("n_bar, mean", [(0.3, (0.4, -1.1)), (1.2, (2.0, 0.5)), (0.05, (-3.0, 2.5))])
-def test_displacement_matches_matrix_exponential(n_bar, mean):
+#: generic means at cutoff 60; then means on +x, -x, +p and -p, at the origin and
+#: in a generic quadrant, at an even and an odd cutoff
+_AXIS_MEANS = {
+    "+x": (1.3, 0.0), "-x": (-1.3, 0.0), "+p": (0.0, 1.3), "-p": (0.0, -1.3),
+    "origin": (0.0, 0.0), "quadrant": (-0.9, 0.6),
+}
+_DISPLACEMENTS = [
+    pytest.param(60, 0.3, (0.4, -1.1), id="0.3-mean0"),
+    pytest.param(60, 1.2, (2.0, 0.5), id="1.2-mean1"),
+    pytest.param(60, 0.05, (-3.0, 2.5), id="0.05-mean2"),
+    *(
+        pytest.param(cutoff, n_bar, mean, id=f"{cutoff}-{name}")
+        for cutoff, n_bar in ((60, 0.3), (21, 0.1))
+        for name, mean in _AXIS_MEANS.items()
+    ),
+]
+
+
+@pytest.mark.parametrize("cutoff, n_bar, mean", _DISPLACEMENTS)
+def test_displacement_matches_matrix_exponential(cutoff, n_bar, mean):
     from scipy.linalg import expm
 
-    cutoff = 60
     alpha = (mean[0] + 1j * mean[1]) / 2.0
     # a generator truncated at the cutoff itself wraps the displaced state
     # around; one four times larger is exact on the kept block to rounding
@@ -509,6 +526,34 @@ def test_displacement_matches_matrix_exponential(n_bar, mean):
     expected = op @ build_thermal(n_bar, FockConfig(cutoff)) @ op.conj().T
     got = displaced_thermal(n_bar, mean, cutoff)
     assert np.abs(got - expected).max() < 1e-13
+    # B B^T is exactly symmetric, and the phase at lag -k is the conjugate of that at +k
+    assert np.array_equal(got, got.conj().T)
+    if mean[1] == 0.0:
+        assert np.all(got.imag == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_displacement_is_a_rotation_of_one_along_x(seed):
+    # D(alpha) = R(theta) D(|alpha|) R(theta)^dag with R(theta) = e^(i theta n)
+    rng = np.random.default_rng(seed)
+    cutoff, n_bar = int(rng.integers(20, 61)), rng.uniform(0.02, 0.3)
+    x, p = rng.uniform(-1.5, 1.5, 2)
+    theta, n = math.atan2(p, x), np.arange(cutoff)
+    along_x = displaced_thermal(n_bar, (math.hypot(x, p), 0.0), cutoff)
+    rotated = np.exp(1j * theta * (n[:, None] - n)) * along_x
+    assert np.abs(displaced_thermal(n_bar, (x, p), cutoff) - rotated).max() < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_displaced_thermal_moments_are_its_mean_and_thermal_covariance(seed):
+    # (n_bar, mean) as the oracle op draws them: mu in [1.05, 2.5], label a in [-1.5, 1.5]^2
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(1.05, 2.5)
+    eps = heterodyne_epsilon(mu)
+    n_bar, mean = eps / 2.0, (eps / math.sqrt(2.0)) * rng.uniform(-1.5, 1.5, 2)
+    got_mean, cov = quadrature_moments(displaced_thermal(n_bar, mean, 60), 1)
+    assert np.abs(got_mean - mean).max() < 1e-10
+    assert np.abs(cov - (1.0 + 2.0 * n_bar) * np.eye(2)).max() < 1e-10
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 0.2])
@@ -533,12 +578,14 @@ def test_cached_rules_are_read_only_and_rebuild_identically():
     curve = s_overlap_curve(1.8, [0.3, 0.7], FockConfig(12, 16))
     rho = build_correlated(1.6, FockConfig(10, 9))
     moments = [*quadrature_moments(rho, 2), *quadrature_moments(cached, 1)]
-    rules = [*fock._position_spectrum(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
+    rules = [*fock._displacement_factors(20), *ladder_arrays(10, 2), *ladder_arrays(20, 1)]
     rules += [*fock._sector_weights(12), *fock._sector_weights(10), *fock._sector_pairs(10)]
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    caches = (fock._position_spectrum, fock._ladder_weights, fock._sector_weights, fock._sector_pairs)
+    caches = (
+        fock._displacement_factors, fock._ladder_weights, fock._sector_weights, fock._sector_pairs
+    )
     for cache in caches:
         cache.cache_clear()
     assert hexes(displaced_thermal(0.3, (0.4, -1.1), 20)) == hexes(cached)

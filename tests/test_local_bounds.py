@@ -498,6 +498,39 @@ def test_separability_edge_above_2_to_53_is_a_numerical_error():
     assert verify_fidelity_optimality(mu).min_lambda == 1.0
 
 
+#: scans past an overflow, each a one-line NumericalError naming its mu: the
+#: conditional spectrum from about 1.3e154 below the edge, the modulated overlap
+#: of a small order just under it, and the fidelity's (mu^2 - 1)(c_0 c_1 - 1) from
+#: about 1.2e77 below the edge
+SCAN_OVERFLOWS = [
+    (lambda mu: verify_heterodyne_optimality(mu, 0.4 * (mu - 1.0), 0.5),
+     1e200, "conditional spectrum"),
+    (lambda mu: verify_heterodyne_optimality(mu, 0.0, 0.1), 1.48e153, "modulated overlap"),
+    (lambda mu: s_overlap_local(mu, 0.5, GaussianPovm(1.0, 0.0, 2.0), 0.4 * (mu - 1.0)),
+     1e200, "conditional spectrum"),
+    (lambda mu: verify_fidelity_optimality(mu, 0.4 * (mu - 1.0)), 1e100, "averaged fidelity"),
+    (lambda mu: verify_fidelity_optimality(mu, 0.05 * (mu - 1.0)), 1e300, "averaged fidelity"),
+    (lambda mu: averaged_fidelity_bound(mu, 2.0, 0.4 * (mu - 1.0)), 1e100, "averaged fidelity"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, mu, what", SCAN_OVERFLOWS, ids=[f"{w.split()[-1]}-{mu:g}" for _, mu, w in SCAN_OVERFLOWS]
+)
+def test_scan_past_an_overflow_names_its_mu_without_a_warning(call, mu, what):
+    with pytest.raises(NumericalError) as raised:
+        call(mu)
+    assert str(raised.value) == f"{what} overflows at mu={mu!r}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_scans_below_the_overflows_still_run():
+    # the heterodyne scan below the edge, and the fidelity scan at it, keep their range
+    assert verify_heterodyne_optimality(1e100, 0.4 * (1e100 - 1.0), 0.5).min_lambda == 1.0
+    assert verify_fidelity_optimality(1e100).min_lambda == 1.0
+
+
 def test_hermite_rule_is_exactly_symmetric():
     # the fidelity scan sums its 40 x 40 rule over the positive quadrant only;
     # that is the same rule because of these three facts

@@ -25,11 +25,11 @@ from gaussdisc import (
 _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_cli(*args, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "gaussdisc", *map(str, args)],
+        [sys.executable, *flags, "-m", "gaussdisc", *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
@@ -241,6 +241,14 @@ def test_cli_verify_het_above_2_to_53_is_one_invariant_line():
     proc = run_cli("verify-het", "--mu", "1e16", "--g-frac", "1")
     assert proc.returncode == 5
     assert proc.stderr.count("\n") == 1 and "mu=1e+16" in proc.stderr
+
+
+def test_cli_verify_het_past_the_overflow_is_one_invariant_line():
+    # below the edge c_0 c_1 overflows from about mu = 1.3e154: one line, no warning
+    proc = run_cli("verify-het", "--mu", "1e200", "--g-frac", "0.4", flags=("-W", "error"))
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == "numerical failure: conditional spectrum overflows at mu=1e+200\n"
 
 
 def test_cli_verify_het_empty_range():
