@@ -248,6 +248,12 @@ def _displaced_along_x(r: float, thermal: np.ndarray) -> np.ndarray:
     ``B B^T``, which numpy forms as a symmetric rank-k update: exactly symmetric.
     """
     positions, rows, pick, even, odd, order, _ = _displacement_factors(len(thermal))
+    # a mean this far out keeps no trace at any cutoff; its phases would overflow to NaN
+    if r * float(positions[-1]) == math.inf:
+        raise ConvergenceError(
+            f"displaced thermal state lost its trace at cutoff {len(thermal)}: "
+            f"|alpha| = {r:.3g} overflows its phases"
+        )
     phase = r * positions
     cos, sin = np.cos(phase), np.sin(phase)
     # row m of the left factors: (cos, -sin) for an even m, (sin, cos) for an odd one

@@ -9,7 +9,6 @@ uses (closed forms) and verifies numerically (lambda scans).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -36,31 +35,29 @@ LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)[40:]
 _COARSE_S = np.linspace(*S_INTERVAL, 16)
 _COARSE_ORDERS = np.array([_COARSE_S, 1.0 - _COARSE_S])[..., None]
 _NEWTON_TOL, _NEWTON_CAP = 1e-10, 64
-#: long grids run in passes that keep each work array below the 128 KiB from which glibc
-#: maps a request afresh (whole, 200,000 points took the search 1.15x the time and 6x the
-#: memory, 2 CPUs); fixed-size kernels run whole, as glibc keeps a repeated request on the
-#: heap.  Less 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
+#: the radial rule runs a long grid in passes that keep each work array below the 128 KiB
+#: from which glibc maps a request afresh: whole, 200,000 points took it 1.9x the time and
+#: 12x the memory (2 CPUs).  Fixed-size kernels and the Chernoff search run whole.  Less
+#: 24 bytes for malloc's 8-byte header, rounded up to 16 bytes.
 _HEAP_REQUEST = 128 * 1024 - 24
 
 
-#: below this ``mu`` no ``s``-free term of a scan overflows: with ``c <= mu``, the largest,
-#: the fidelity's ``(mu^2 - 1)(c_0 c_1 - 1)``, stays below ``mu^4 = 2^1020``
+#: a scan whose ``mu`` lies below ``_OVERFLOW_MU * s`` at its order ``s`` (the fidelity
+#: scan's ``s`` is 1) cannot overflow, and runs exactly as written.  There ``mu < 2^255``
+#: and ``s > 2^-255``, so in :func:`_overlap_at` ``lam_mu <= mu / s + 2 < 2^256``, ``lam_nu
+#: c_k / nu <= mu / (1 - s) + 2 mu`` with ``1 - s >= 2^-53``, and ``m_k <= mu``: every width
+#: ``d_k < 2^310``, the numerator ``2 g_mu g_nu < 2^565`` and ``Q > 2^-820``.  The
+#: fidelity's largest term, ``(mu^2 - 1)(c_0 c_1 - 1)`` with ``c <= mu``, stays below
+#: ``mu^4 < 2^1020``.
 _OVERFLOW_MU = 2.0**255
-_UNGUARDED = contextlib.nullcontext()
 
 
-def _quiet(mu):
-    """An ``np.errstate`` that ignores floating-point errors from ``_OVERFLOW_MU`` on,
-    where the scans' products may overflow and a check of the result fails it instead;
-    below it, a no-op, so that the scans there run exactly as written."""
-    return np.errstate(all="ignore") if mu >= _OVERFLOW_MU else _UNGUARDED
-
-
-def _guarded(mu, what: str, kernel, *args):
-    """``kernel(*args)``; from ``_OVERFLOW_MU`` on with floating-point errors ignored, and
-    a NumericalError naming ``what`` and ``mu`` unless every entry of the result lies in
-    ``(0, inf)``, as it does without an overflow.  Below, one comparison."""
-    if mu < _OVERFLOW_MU:
+def _guarded(mu, s, what: str, kernel, *args):
+    """``kernel(*args)``; from ``mu = _OVERFLOW_MU * s`` on with floating-point errors
+    ignored, and a NumericalError naming ``what`` and ``mu`` unless every entry of the
+    result lies in ``(0, inf)``, as it does without an overflow.  Below, one comparison:
+    a product, as the quotient ``mu / s`` overflows at a subnormal order."""
+    if mu < _OVERFLOW_MU * s:
         return kernel(*args)
     with np.errstate(all="ignore"):
         values = kernel(*args)
@@ -199,7 +196,7 @@ def s_overlap_local(mu: float, s: float, povm: GaussianPovm, g: float | None = N
     s = check_order(s)
     seed = np.array([[povm.eta * povm.lam], [povm.eta / povm.lam]])
     state = _overlap_state(mu, g, seed)
-    return float(_guarded(mu, "modulated overlap", _overlap_at, s, state)[0])
+    return float(_guarded(mu, s, "modulated overlap", _overlap_at, s, state)[0])
 
 
 class _OverlapState(NamedTuple):
@@ -221,10 +218,10 @@ def _overlap_state(mu, g, seed):
     An exact ``nu`` is at least 1 and finite; a rounded one may not be, as when ``g = mu -
     1`` rounds to ``mu`` above 2^53, or when ``c_0 c_1`` overflows, from about ``mu =
     1.3e154``, and :func:`_overlap_at` then fails."""
-    with _quiet(mu):
+    with np.errstate(all="ignore"):
         c, m = _spectra(mu, g, seed)
         nu = np.sqrt(c[0] * c[1])
-    in_range = np.greater_equal(nu, 1.0).all() and (mu < _OVERFLOW_MU or np.isfinite(nu).all())
+    in_range = 1.0 <= nu.min() and nu.max() < np.inf
     return _OverlapState(mu, c, m, nu, _weight_logs(mu), _weight_logs(nu) if in_range else None)
 
 
@@ -316,15 +313,6 @@ def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (x86-64).  :func:`check_exponent` fails an overflow, from about ``mu = 1.8e302``; a
     row not stopped after ``_NEWTON_CAP`` steps is a NumericalError naming its ``mu``.
     """
-    s_star, q = np.empty((2, mu.shape[0]))
-    # the coarse step's orders are the largest work array
-    for rows in _passes(mu.shape[0], _COARSE_ORDERS.nbytes):
-        s_star[rows], q[rows] = _search(mu[rows])
-    return s_star, q
-
-
-def _search(mu):
-    """:func:`chernoff_overlap_local` over one pass of rows."""
     with np.errstate(all="ignore"):
         logs, shift = sides = _heterodyne_sides(mu)
         coarse = _heterodyne_at(_COARSE_ORDERS, ([x[:, None] for x in logs], shift))
@@ -505,11 +493,13 @@ def verify_heterodyne_optimality(mu: float, g: float, s: float) -> OptimalitySca
     Raises :class:`ReportFailure` if an entry lies below the one at lambda = 1,
     and :class:`NumericalError` if ``nu`` rounds below 1, as at the separability
     edge above ``mu = 2^53``, or if the scan overflows (:func:`_guarded`), as it does
-    below the edge from about ``mu = 1.5e153``.
+    below the edge from about ``mu = 1.5e153``, and at any ``mu`` for an order below
+    about ``mu / 1.3e154``.
     """
     mu = check_mu(mu)
     g = check_correlation(mu, g)
-    values = _guarded(mu, "modulated overlap", _overlap_at, check_order(s), _scan_state(mu, g))
+    s = check_order(s)
+    values = _guarded(mu, s, "modulated overlap", _overlap_at, s, _scan_state(mu, g))
     return _scan(values, mu, g, s, "overlap scan")
 
 
@@ -539,9 +529,9 @@ def averaged_fidelity_bound(mu: float, lam: float, g: float | None = None) -> fl
     mu = check_mu(mu)
     g = check_correlation(mu, mu - 1.0 if g is None else g)
     lam = GaussianPovm(1.0, 0.0, lam).lam
-    with _quiet(mu):
-        c, m = _spectra(mu, g, np.array([[lam], [1.0 / lam]]))
-    return float(_guarded(mu, "averaged fidelity", _averaged_fidelity, mu, c, m)[0])
+    state = _overlap_state(mu, g, np.array([[lam], [1.0 / lam]]))
+    values = _guarded(mu, 1.0, "averaged fidelity", _averaged_fidelity, mu, state.c, state.m)
+    return float(values[0])
 
 
 def _fidelity_integrand(mu, c, m, nodes):
@@ -576,5 +566,5 @@ def verify_fidelity_optimality(mu: float, g: float | None = None) -> OptimalityS
     mu = check_mu(mu)
     gval = check_correlation(mu, mu - 1.0 if g is None else g)
     state = _scan_state(mu, gval)
-    values = _guarded(mu, "averaged fidelity", _averaged_fidelity, mu, state.c, state.m)
+    values = _guarded(mu, 1.0, "averaged fidelity", _averaged_fidelity, mu, state.c, state.m)
     return _scan(values, mu, gval, None, "fidelity scan")

@@ -563,6 +563,17 @@ def test_displacement_past_the_cutoff_loses_trace(n_bar):
         displaced_thermal(n_bar, (12.0, 0.0), 20)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean", [(1e308, 1e308), (-1e308, 0.0)])
+def test_displacement_at_a_huge_finite_mean_is_one_convergence_error(mean):
+    # |alpha| times the largest position overflows: the phases are never formed
+    with pytest.raises(ConvergenceError) as raised:
+        displaced_thermal(0.2, mean, 20)
+    message = str(raised.value)
+    assert "nan" not in message and "\n" not in message
+    assert message.startswith("displaced thermal state lost its trace at cutoff 20")
+
+
 def test_cached_rules_are_read_only_and_rebuild_identically():
     def hexes(rho):
         return [x.hex() for x in rho.view(float).ravel().tolist()]

@@ -28,8 +28,8 @@ from gaussdisc import (
 )
 from gaussdisc.global_bounds import S_INTERVAL, fidelity_error, overlap_weights
 from gaussdisc.local_bounds import (
-    _COARSE_ORDERS,
     _NEWTON_TOL,
+    _OVERFLOW_MU,
     _RADIAL_RULE,
     _SCAN_SEEDS,
     LAMBDA_SCAN_GRID,
@@ -511,6 +511,14 @@ SCAN_OVERFLOWS = [
     (lambda mu: verify_fidelity_optimality(mu, 0.4 * (mu - 1.0)), 1e100, "averaged fidelity"),
     (lambda mu: verify_fidelity_optimality(mu, 0.05 * (mu - 1.0)), 1e300, "averaged fidelity"),
     (lambda mu: averaged_fidelity_bound(mu, 2.0, 0.4 * (mu - 1.0)), 1e100, "averaged fidelity"),
+    # orders below mu / 1.3e154, where d_0 d_1 overflows at any mu; the quotient mu / s
+    # itself overflows at the subnormal order, also as a numpy scalar
+    (lambda mu: verify_heterodyne_optimality(mu, 1.0, 1e-300), 2.0, "modulated overlap"),
+    (lambda mu: s_overlap_local(mu, 1e-300, GaussianPovm(1.0, 0.0, 2.0), 1.0),
+     2.0, "modulated overlap"),
+    (lambda mu: verify_heterodyne_optimality(mu, 1.0, 5e-324), 2.0, "modulated overlap"),
+    (lambda mu: verify_heterodyne_optimality(mu, 1.0, np.float64(5e-324)),
+     2.0, "modulated overlap"),
 ]
 
 
@@ -529,6 +537,23 @@ def test_scans_below_the_overflows_still_run():
     # the heterodyne scan below the edge, and the fidelity scan at it, keep their range
     assert verify_heterodyne_optimality(1e100, 0.4 * (1e100 - 1.0), 0.5).min_lambda == 1.0
     assert verify_fidelity_optimality(1e100).min_lambda == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-76, 1e-77])
+def test_overlap_scan_on_either_side_of_the_guards_reach_passes(s):
+    # at mu = 2 the guard's reach _OVERFLOW_MU * s is 5.8 for 1e-76 (unguarded) and
+    # 0.58 for 1e-77 (guarded); the scan passes on both sides
+    assert (2.0 < _OVERFLOW_MU * s) == (s == 1e-76)
+    assert verify_heterodyne_optimality(2.0, 1.0, s).min_lambda == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_averaged_fidelity_bound_at_the_edge_where_nu_rounds_below_one():
+    # above 2^53 the edge g = mu - 1 rounds to mu and nu below 1: the shared state has
+    # no nu_logs, which the fidelity does not need
+    assert _overlap_state(1e16, 1e16 - 1.0, np.array([[2.0], [0.5]])).nu_logs is None
+    assert averaged_fidelity_bound(1e16, 2.0) == float.fromhex("0x1.cd2b297d889bap-56")
 
 
 def test_hermite_rule_is_exactly_symmetric():
@@ -694,7 +719,7 @@ def test_scalar_heterodyne_overlap_is_bit_identical_to_the_generic_route():
 
 
 def test_long_search_is_bit_identical_to_its_batches_of_one():
-    # 2,000 points run the search in several passes of rows
+    # 2,000 points run the search as one grid; each row stops on its own
     rng = np.random.default_rng(33)
     mus = np.concatenate([EDGE_MUS, 1.0 + 10.0 ** rng.uniform(-12.0, 15.0, 1992)])
     got = chernoff_overlap_local(mus)
@@ -732,16 +757,14 @@ def test_row_passes_keep_every_work_array_below_the_mmap_threshold(monkeypatch):
         return slices
 
     monkeypatch.setattr(lb, "_passes", recorded)
-    # the fidelity scan's 41 seeds are a fixed size: it runs whole
+    # the fidelity scan's 41 seeds are a fixed size, and the search runs its grid whole
     verify_fidelity_optimality(2.0)
-    assert calls == []
     mus = 1.0 + np.logspace(-6.0, 3.0, 2000)
     chernoff_overlap_local(mus)
+    assert calls == []
     lower_bound_local(mus)
-    # one row of each grid kernel's largest work array: the search's coarse
-    # orders and the radial rule's panel terms
+    # one row of the radial rule's largest work array, its panel terms
     assert {(size, row_bytes) for size, row_bytes, _ in calls} == {
-        (2000, _COARSE_ORDERS.nbytes),
         (2000, _RADIAL_RULE[0].nbytes),
     }
     for size, row_bytes, slices in calls:
