@@ -30,10 +30,8 @@ from .global_bounds import (
 #: pi/2, so the scans take only lam >= 1: the upper half of the 81 log-spaced
 #: points in [0.1, 10], from exactly 1.0 at index 0
 LAMBDA_SCAN_GRID = np.logspace(-1.0, 1.0, 81)[40:]
-#: the local Chernoff search: a coarse step over 16 evenly spaced orders ``(s, 1 - s)``,
-#: both clips included, stacked down the middle axis; then at most ``_NEWTON_CAP`` Newton steps
-_COARSE_S = np.linspace(*S_INTERVAL, 16)
-_COARSE_ORDERS = np.array([_COARSE_S, 1.0 - _COARSE_S])[..., None]
+#: the local Chernoff search: from the start table's ``s*`` (:func:`_start_table`), at
+#: most ``_NEWTON_CAP`` Newton steps, each row until ``|slope| <= _NEWTON_TOL * curvature``
 _NEWTON_TOL, _NEWTON_CAP = 1e-10, 64
 #: the radial rule runs a long grid in passes that keep each work array below the 128 KiB
 #: from which glibc maps a request afresh: whole, 200,000 points took it 1.9x the time and
@@ -301,35 +299,66 @@ def _log_heterodyne(s, sides):
     return log_q, log_scale[0] - log_scale[1] - p_s, p_s * p_s - p_ss
 
 
+def _newton(s, sides, stopped):
+    """The safeguarded Newton of :func:`chernoff_overlap_local` from the orders ``s``,
+    each row in the bracket ``S_INTERVAL``; ``(s, stopped)``, rows ``stopped`` on entry
+    held.  Run under ``np.errstate(all="ignore")``."""
+    lo, hi = np.full_like(s, S_INTERVAL[0]), np.full_like(s, S_INTERVAL[1])
+    for _ in range(_NEWTON_CAP):
+        _, slope, curve = _log_heterodyne(s, sides)
+        lo, hi = np.where(slope <= 0.0, s, lo), np.where(slope >= 0.0, s, hi)
+        stopped = stopped | (np.abs(slope) <= _NEWTON_TOL * curve) | (hi - lo <= _NEWTON_TOL * hi)
+        if stopped.all():
+            break
+        step = s - slope / curve
+        s = np.where(stopped, s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+    return s, stopped
+
+
+def _start_table():
+    """The search's start table: knots in ``ln(mu - 1)``, 0.05 apart on [-7, 9], 0.1 on
+    (9, 40] and 1 on (40, 709], and the minimizer ``s*`` at each, found by
+    :func:`_newton` from the asymptotic guess ``1 - 1 / (2 + ln((mu + 1) / 2))``.
+    Both read-only.  Below ``mu = 1 + e^-7`` the kernel's slope is rounding noise at
+    ``_NEWTON_TOL`` times the curvature (up to 1.3e-9 of it at ``e^-9``), so a knot
+    there could not stop on the slope test."""
+    knots = np.concatenate(
+        [np.linspace(-7.0, 9.0, 321), np.linspace(9.1, 40.0, 310), np.linspace(41.0, 709.0, 669)]
+    )
+    mu = 1.0 + np.exp(knots)
+    with np.errstate(all="ignore"):
+        guess = 1.0 - 1.0 / (2.0 + np.log((mu + 1.0) / 2.0))
+        s = _newton(guess, _heterodyne_sides(mu), np.zeros(mu.shape, bool))[0]
+    for array in (knots, s):
+        array.flags.writeable = False
+    return knots, s
+
+
+_START_KNOTS, _START_S = _start_table()
+#: the low clip ``(s, 1 - s)``, on which the search checks its overlap first
+_LOW_CLIP = np.array([[S_INTERVAL[0]], [1.0 - S_INTERVAL[0]]])
+
+
 def chernoff_overlap_local(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(s_star, min_s Q_s(het))`` elementwise over arrays, ``mu`` not checked.
 
-    ``ln Q_s`` is convex in ``s``: the coarse step brackets each row's minimizer by the
-    two intervals around its best point.  Newton on :func:`_log_heterodyne` runs from
-    the bracket's middle, bisecting where a step leaves it, until ``|slope| <=
+    ``ln Q_s`` is convex in ``s``.  Newton on :func:`_log_heterodyne` starts at the
+    start table's ``s*``, interpolated in ``ln(mu - 1)`` and clamped at its ends, in
+    the bracket ``S_INTERVAL``, bisecting where a step leaves it, until ``|slope| <=
     _NEWTON_TOL * curvature`` or the bracket collapses: at a clip, or near ``mu = 1``,
     where the slope is rounding noise.  ``q`` is the overlap at ``s_star`` evaluated in
     long double: correctly rounded, and so at most 1, where that is wider than double
-    (x86-64).  :func:`check_exponent` fails an overflow, from about ``mu = 1.8e302``; a
-    row not stopped after ``_NEWTON_CAP`` steps is a NumericalError naming its ``mu``.
+    (x86-64).  :func:`check_exponent` on the overlap at the low clip fails an overflow,
+    first at ``mu = 1.797691337170979e302``; a row not stopped after ``_NEWTON_CAP``
+    steps is a NumericalError naming its ``mu``.
     """
     with np.errstate(all="ignore"):
-        logs, shift = sides = _heterodyne_sides(mu)
-        coarse = _heterodyne_at(_COARSE_ORDERS, ([x[:, None] for x in logs], shift))
-        # an overflow fails here, before it can misplace a bracket
-        check_exponent(mu, coarse.min(axis=0), "kappa_loc")
-        best = coarse.argmin(axis=0)
-        lo, hi = _COARSE_S[np.clip([best - 1, best + 1], 0, _COARSE_S.size - 1)]
+        logs, _ = sides = _heterodyne_sides(mu)
+        # an overflow fails here, before it can misplace a step
+        check_exponent(mu, _heterodyne_at(_LOW_CLIP, sides), "kappa_loc")
+        start = np.interp(np.log(mu - 1.0), _START_KNOTS, _START_S)
         # within an ulp of mu = 1 the weights are those of x = 1: Q = 1 for every s
-        s, stopped = 0.5 * (lo + hi), np.isneginf(logs[0][0])
-        for _ in range(_NEWTON_CAP):
-            _, slope, curve = _log_heterodyne(s, sides)
-            lo, hi = np.where(slope <= 0.0, s, lo), np.where(slope >= 0.0, s, hi)
-            stopped |= (np.abs(slope) <= _NEWTON_TOL * curve) | (hi - lo <= _NEWTON_TOL * hi)
-            if stopped.all():
-                break
-            step = s - slope / curve
-            s = np.where(stopped, s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+        s, stopped = _newton(start, sides, np.isneginf(logs[0][0]))
     if not stopped.all():
         raise NumericalError(f"kappa_loc search did not converge at mu={float(mu[~stopped][0])!r}")
     return s, overlap_heterodyne(mu.astype(np.longdouble), s.astype(np.longdouble)).astype(float)

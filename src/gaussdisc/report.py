@@ -88,11 +88,15 @@ def evaluate(mu_grid) -> dict[str, np.ndarray]:
     columns = _exponent_columns(mu_grid)
     mu, p_plus_global, p_plus_local = (columns[k] for k in ("mu", "p_plus_global", "p_plus_local"))
     p_minus_global, p_minus_local = lower_bound_global(mu), lower_bound_local(mu)
-    # an upper bound on the error gives a lower bound on the information
+    # an upper bound on the error gives a lower bound on the information; one
+    # elementwise call on the four bounds stacked
+    i_plus_global, i_minus_global, i_plus_local, i_minus_local = information(
+        np.array([p_minus_global, p_plus_global, p_minus_local, p_plus_local])
+    )
     columns.update(
         p_minus_global=p_minus_global, p_minus_local=p_minus_local,
-        i_plus_global=information(p_minus_global), i_minus_global=information(p_plus_global),
-        i_plus_local=information(p_minus_local), i_minus_local=information(p_plus_local),
+        i_plus_global=i_plus_global, i_minus_global=i_minus_global,
+        i_plus_local=i_plus_local, i_minus_local=i_minus_local,
     )
     return {name: columns[name] for name in (*REPORT_FIELDS, "ratio")}
 

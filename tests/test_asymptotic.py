@@ -142,9 +142,10 @@ def test_gain_rows_and_exponents_are_the_evaluate_columns():
 
 #: each view at a mu past an overflow, and its one-line failure there (None:
 #: the view returns finite values).  The global overlap underflows from about
-#: mu = 1e151, the local one overflows from about 1.8e302, and the radial rule's
-#: denominator from about 6e307.  The scalar overlaps at s = 1/2 fail through the
-#: same check: the global one from about 1e154, the heterodyne one from about 6.2e307.
+#: mu = 1e151, the local one overflows from 1.797691337170979e302 (at its low clip
+#: s = 1e-6), and the radial rule's denominator from about 6e307.  The scalar
+#: overlaps at s = 1/2 fail through the same check: the global one from about
+#: 1e154, the heterodyne one from about 6.2e307.
 GLOBAL_VIEWS = {
     "exponents": exponents,
     "gain_curves": lambda mu: gain_curves([2.0, mu]),
@@ -160,10 +161,13 @@ OVERFLOW_CASES = [
         for mu in (1.2e151, 1e300, 1.7e308)
     ),
     *(
-        pytest.param(view, mu, message, id=f"{view.__name__}-{mu:g}")
+        pytest.param(view, mu, message, id=f"{view.__name__}-{mu!r}")
         for view, mu, message in [
             (p_upper_local, 1.2e151, None),
             (p_upper_local, 1e300, None),
+            # the two floats either side of the first mu whose low-clip overlap overflows
+            (p_upper_local, 1.7976913371709785e302, None),
+            (p_upper_local, 1.797691337170979e302, "non-finite exponent at mu={mu!r}: kappa_loc"),
             (p_upper_local, 1.7e308, "non-finite exponent at mu={mu!r}: kappa_loc"),
             (p_lower_local, 1.2e151, None),
             (p_lower_local, 1e300, None),

@@ -32,6 +32,8 @@ from gaussdisc.local_bounds import (
     _OVERFLOW_MU,
     _RADIAL_RULE,
     _SCAN_SEEDS,
+    _START_KNOTS,
+    _START_S,
     LAMBDA_SCAN_GRID,
     _averaged_fidelity,
     _fidelity_integrand,
@@ -683,6 +685,41 @@ def test_search_certifies_its_minimum():
     assert (inside | clipped).all()
 
 
+@pytest.mark.parametrize(
+    "mus, most",
+    [
+        (np.logspace(math.log10(1.001), 3.0, 200), 3),
+        (10.0 ** np.random.default_rng(36).uniform(math.log10(1.001), 3.0, 2000), 3),
+        (1.0 + np.logspace(-16.0, -3.0, 2000), 64),
+    ],
+    ids=["cli-span", "cli-span-random", "near-one"],
+)
+def test_search_from_the_start_table_takes_few_evaluations(monkeypatch, mus, most):
+    import gaussdisc.local_bounds as lb
+
+    calls = []
+
+    def counted(s, sides):
+        calls.append(s.size)
+        return _log_heterodyne(s, sides)
+
+    monkeypatch.setattr(lb, "_log_heterodyne", counted)
+    chernoff_overlap_local(mus)
+    assert len(calls) <= most
+
+
+def test_start_table_holds_converged_minimizers_read_only():
+    # every knot stopped on the slope test, not by a collapsed bracket
+    mus = 1.0 + np.exp(_START_KNOTS)
+    _, slope, curve = _log_heterodyne(_START_S, _heterodyne_sides(mus))
+    assert (np.abs(slope) <= _NEWTON_TOL * curve).all()
+    assert np.all(np.diff(_START_KNOTS) > 0.0)
+    for table in (_START_KNOTS, _START_S):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+
+
 def test_local_overlap_never_exceeds_one():
     # near mu = 1 the overlap is 1 less a tiny amount, which must not round above 1
     mus = np.concatenate([EDGE_MUS, 1.0 + np.logspace(-16.0, 12.0, 3000)])
@@ -695,7 +732,8 @@ def test_search_that_does_not_converge_names_its_mu(monkeypatch, capsys):
     import gaussdisc.local_bounds as lb
     from gaussdisc.cli import main
 
-    monkeypatch.setattr(lb, "_NEWTON_CAP", 1)
+    # the start table has a knot at mu = 2, which stops after one evaluation
+    monkeypatch.setattr(lb, "_NEWTON_CAP", 0)
     with pytest.raises(NumericalError, match=r"^kappa_loc search did not converge at mu=2\.0$"):
         p_upper_local(2.0)
     assert main(["point", "--mu", "2"]) == 5
